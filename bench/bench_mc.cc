@@ -1,69 +1,32 @@
 /**
  * @file
- * Model-checker throughput benchmark: snapshot-forked exploration vs
- * replay-from-root across the whole scenario catalogue.
+ * Model-checker throughput benchmark across the whole scenario
+ * catalogue.
  *
- * For every scenario the explorer runs twice — once with copy-on-write
- * snapshots (the default) and once with --no-snapshot semantics — and
- * reports schedules/s plus replayed-events-per-schedule for each arm,
- * asserting along the way that both arms covered identical schedule
- * counts, executions and violation verdicts (the bit-identity bar; the
- * binary exits 1 if any scenario diverges). Results land in a JSON
- * file (--out=PATH, default BENCH_mc.json) that the CI perf-smoke job
- * archives and compares against bench/BENCH_mc.baseline.json via
- * tools/compare_mc.py.
- *
- * Metric notes. "Replayed events per schedule" counts redundant prefix
- * work only: scheduler events an execution re-ran below its divergence
- * point that some earlier execution had already performed. Replay-
- * from-root pays the full prefix every time; snapshot resumes inherit
- * it (reported as events_saved), so their replayed count is 0 whenever
- * every branch resumes from its exact divergence depth.
- * `events_replayed_reduction` divides root by snapshot replayed
- * events, using a denominator floor of 1 when the snapshot arm
- * replayed nothing (the ratio is then a lower bound, effectively
- * infinite). Wall-clock numbers are advisory on shared runners — the
- * deterministic counters are the gating signal (compare_mc.py).
+ * Every scenario is explored once with rchdroid_mc's defaults (the
+ * scenario's MHP independence spec, analysis on, all oracles) and
+ * reported with executions/s and schedules/s plus the deterministic
+ * exploration counters. Results land in a JSON file (--out=PATH,
+ * default BENCH_mc.json) that the CI perf-smoke job archives and
+ * compares against bench/BENCH_mc.baseline.json via tools/compare_mc.py:
+ * the counters gate hard, wall-clock numbers are advisory on shared
+ * runners.
  */
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "mc/explorer.h"
 #include "mc/scenario.h"
-#include "sim/snapshot.h"
+#include "platform/strings.h"
 
 namespace {
 
 using rchdroid::mc::ExplorerOptions;
-using rchdroid::mc::ExplorerReport;
+using rchdroid::mc::ExplorerStats;
 using rchdroid::mc::Scenario;
-
-struct ArmResult
-{
-    ExplorerReport report;
-    double wall_ms = 0.0;
-};
-
-ArmResult
-runArm(const Scenario &scenario, int depth, bool snapshots)
-{
-    ExplorerOptions options;
-    options.scenario = &scenario;
-    options.max_depth = depth;
-    options.snapshots = snapshots;
-    if (!scenario.independence.empty())
-        options.independence = &scenario.independence;
-    const auto start = std::chrono::steady_clock::now();
-    ArmResult arm;
-    arm.report = explore(options);
-    arm.wall_ms = std::chrono::duration<double, std::milli>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-    return arm;
-}
 
 double
 perSecond(std::uint64_t count, double wall_ms)
@@ -72,52 +35,10 @@ perSecond(std::uint64_t count, double wall_ms)
                          : 0.0;
 }
 
-double
-perExecution(std::uint64_t events, std::uint64_t executions)
+unsigned long long
+ull(std::uint64_t value)
 {
-    return executions > 0
-               ? static_cast<double>(events) /
-                     static_cast<double>(executions)
-               : 0.0;
-}
-
-bool
-identicalArms(const ExplorerReport &a, const ExplorerReport &b)
-{
-    if (a.stats.schedules_covered != b.stats.schedules_covered ||
-        a.stats.executions != b.stats.executions ||
-        a.stats.truncated != b.stats.truncated ||
-        a.violations.size() != b.violations.size() ||
-        a.first_violation_schedule != b.first_violation_schedule)
-        return false;
-    for (std::size_t i = 0; i < a.violations.size(); ++i) {
-        if (a.violations[i].oracle != b.violations[i].oracle ||
-            a.violations[i].summary != b.violations[i].summary)
-            return false;
-    }
-    return true;
-}
-
-void
-printArmJson(std::FILE *out, const char *key, const ArmResult &arm)
-{
-    const auto &stats = arm.report.stats;
-    std::fprintf(
-        out,
-        "    \"%s\": {\"schedules_covered\": %llu, \"executions\": %llu, "
-        "\"snapshots_taken\": %llu, \"snapshot_restores\": %llu, "
-        "\"events_replayed\": %llu, \"events_saved\": %llu, "
-        "\"replayed_per_execution\": %.3f, \"violations\": %zu, "
-        "\"wall_ms\": %.3f, \"schedules_per_sec\": %.1f}",
-        key, static_cast<unsigned long long>(stats.schedules_covered),
-        static_cast<unsigned long long>(stats.executions),
-        static_cast<unsigned long long>(stats.snapshots_taken),
-        static_cast<unsigned long long>(stats.snapshot_restores),
-        static_cast<unsigned long long>(stats.events_replayed),
-        static_cast<unsigned long long>(stats.events_saved),
-        perExecution(stats.events_replayed, stats.executions),
-        arm.report.violations.size(), arm.wall_ms,
-        perSecond(stats.schedules_covered, arm.wall_ms));
+    return static_cast<unsigned long long>(value);
 }
 
 } // namespace
@@ -132,7 +53,15 @@ main(int argc, char **argv)
         if (arg.rfind("--out=", 0) == 0) {
             out_path = arg.substr(std::strlen("--out="));
         } else if (arg.rfind("--depth=", 0) == 0) {
-            depth = std::atoi(arg.c_str() + std::strlen("--depth="));
+            const rchdroid::Result<std::int64_t> parsed =
+                rchdroid::parseInteger(arg.substr(std::strlen("--depth=")),
+                                       1, INT_MAX, "--depth");
+            if (!parsed) {
+                std::fprintf(stderr, "%s\n",
+                             parsed.status().message().c_str());
+                return 2;
+            }
+            depth = static_cast<int>(parsed.value());
         } else {
             std::fprintf(stderr,
                          "usage: bench_mc [--out=PATH] [--depth=N]\n");
@@ -146,79 +75,71 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::printf("\n=== bench_mc: snapshot-forked exploration vs "
-                "replay-from-root (depth %d) ===\n",
+    std::printf("\n=== bench_mc: model-checker throughput (depth %d) ===\n",
                 depth);
-    std::printf("snapshots supported here: %s\n",
-                rchdroid::sim::SnapshotHost::supported() ? "yes" : "no");
+    std::fprintf(out, "{\n  \"depth\": %d,\n  \"scenarios\": {\n", depth);
 
-    std::fprintf(out, "{\n  \"depth\": %d,\n  \"snapshots_supported\": %s,"
-                      "\n  \"scenarios\": {\n",
-                 depth,
-                 rchdroid::sim::SnapshotHost::supported() ? "true"
-                                                          : "false");
-
-    bool all_identical = true;
-    double total_snap_ms = 0.0;
-    double total_root_ms = 0.0;
+    double total_ms = 0.0;
+    std::uint64_t total_executions = 0;
+    std::uint64_t total_schedules = 0;
     const auto &catalogue = rchdroid::mc::scenarioCatalog();
     for (std::size_t s = 0; s < catalogue.size(); ++s) {
         const Scenario &scenario = catalogue[s];
-        const ArmResult snap = runArm(scenario, depth, true);
-        const ArmResult root = runArm(scenario, depth, false);
-        total_snap_ms += snap.wall_ms;
-        total_root_ms += root.wall_ms;
+        ExplorerOptions options;
+        options.scenario = &scenario;
+        options.max_depth = depth;
+        if (!scenario.independence.empty())
+            options.independence = &scenario.independence;
+        const auto start = std::chrono::steady_clock::now();
+        const rchdroid::mc::ExplorerReport report = explore(options);
+        const double wall_ms = std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count();
+        const ExplorerStats &stats = report.stats;
+        total_ms += wall_ms;
+        total_executions += stats.executions;
+        total_schedules += stats.schedules_covered;
 
-        const bool identical = identicalArms(snap.report, root.report);
-        all_identical = all_identical && identical;
-        const std::uint64_t snap_replayed =
-            snap.report.stats.events_replayed;
-        const double reduction =
-            static_cast<double>(root.report.stats.events_replayed) /
-            static_cast<double>(snap_replayed > 0 ? snap_replayed : 1);
-
-        std::printf(
-            "%-16s schedules %llu  exec %llu  replayed/exec %.1f -> %.1f"
-            "  saved %llu  wall %.1f -> %.1f ms  identical %s\n",
-            scenario.name.c_str(),
-            static_cast<unsigned long long>(
-                snap.report.stats.schedules_covered),
-            static_cast<unsigned long long>(snap.report.stats.executions),
-            perExecution(root.report.stats.events_replayed,
-                         root.report.stats.executions),
-            perExecution(snap.report.stats.events_replayed,
-                         snap.report.stats.executions),
-            static_cast<unsigned long long>(
-                snap.report.stats.events_saved),
-            root.wall_ms, snap.wall_ms, identical ? "yes" : "NO");
-
-        std::fprintf(out, "  \"%s\": {\n", scenario.name.c_str());
-        printArmJson(out, "snapshot", snap);
-        std::fprintf(out, ",\n");
-        printArmJson(out, "replay_from_root", root);
-        std::fprintf(out,
-                     ",\n    \"identical\": %s, "
-                     "\"events_replayed_reduction\": %.1f\n  }%s\n",
-                     identical ? "true" : "false", reduction,
-                     s + 1 < catalogue.size() ? "," : "");
+        std::printf("%-16s schedules %llu  exec %llu  replayed %llu  "
+                    "violations %zu  wall %.1f ms  %.0f exec/s\n",
+                    scenario.name.c_str(), ull(stats.schedules_covered),
+                    ull(stats.executions), ull(stats.events_replayed),
+                    report.violations.size(), wall_ms,
+                    perSecond(stats.executions, wall_ms));
+        std::fprintf(
+            out,
+            "  \"%s\": {\"schedules_covered\": %llu, \"executions\": %llu, "
+            "\"choice_points\": %llu, \"distinct_states\": %llu, "
+            "\"visited_hits\": %llu, \"sleep_skips\": %llu, "
+            "\"mhp_prunes\": %llu, \"mhp_sleep_keeps\": %llu, "
+            "\"events_replayed\": %llu, \"truncated\": %s, "
+            "\"violations\": %zu, \"wall_ms\": %.3f, "
+            "\"executions_per_sec\": %.1f, \"schedules_per_sec\": %.1f}%s\n",
+            scenario.name.c_str(), ull(stats.schedules_covered),
+            ull(stats.executions), ull(stats.nodes),
+            ull(stats.distinct_states), ull(stats.visited_hits),
+            ull(stats.sleep_skips), ull(stats.mhp_prunes),
+            ull(stats.mhp_sleep_keeps), ull(stats.events_replayed),
+            stats.truncated ? "true" : "false", report.violations.size(),
+            wall_ms, perSecond(stats.executions, wall_ms),
+            perSecond(stats.schedules_covered, wall_ms),
+            s + 1 < catalogue.size() ? "," : "");
     }
 
     std::fprintf(out,
-                 "  },\n  \"totals\": {\"snapshot_wall_ms\": %.3f, "
-                 "\"root_wall_ms\": %.3f, \"all_identical\": %s}\n}\n",
-                 total_snap_ms, total_root_ms,
-                 all_identical ? "true" : "false");
+                 "  },\n  \"totals\": {\"executions\": %llu, "
+                 "\"schedules_covered\": %llu, \"wall_ms\": %.3f, "
+                 "\"executions_per_sec\": %.1f, "
+                 "\"schedules_per_sec\": %.1f}\n}\n",
+                 ull(total_executions), ull(total_schedules), total_ms,
+                 perSecond(total_executions, total_ms),
+                 perSecond(total_schedules, total_ms));
     std::fclose(out);
 
-    std::printf("totals: snapshot %.1f ms, replay-from-root %.1f ms, "
-                "all identical: %s\n",
-                total_snap_ms, total_root_ms,
-                all_identical ? "yes" : "NO");
+    std::printf("totals: %llu executions, %llu schedules in %.1f ms "
+                "(%.0f exec/s)\n",
+                ull(total_executions), ull(total_schedules), total_ms,
+                perSecond(total_executions, total_ms));
     std::printf("wrote %s\n", out_path.c_str());
-    if (!all_identical) {
-        std::fprintf(stderr, "::error::bench_mc: snapshot and "
-                             "replay-from-root arms diverged\n");
-        return 1;
-    }
     return 0;
 }

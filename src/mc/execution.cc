@@ -1,9 +1,7 @@
 #include "mc/execution.h"
 
-#include "mc/snapshot_session.h"
 #include "mc/state_hash.h"
 #include "platform/logging.h"
-#include "sim/dumpsys.h"
 
 namespace rchdroid::mc {
 
@@ -47,18 +45,6 @@ buildOptions(SimScheduler &scheduler, const Scenario &scenario,
 
 } // namespace
 
-std::uint64_t
-choiceStateKey(std::uint64_t fingerprint, int remaining_depth,
-               int injections_left)
-{
-    constexpr std::uint64_t kPrime = 1099511628211ULL;
-    std::uint64_t h = 1469598103934665603ULL;
-    h = (h ^ fingerprint) * kPrime;
-    h = (h ^ static_cast<std::uint32_t>(remaining_depth)) * kPrime;
-    h = (h ^ static_cast<std::uint32_t>(injections_left)) * kPrime;
-    return h;
-}
-
 ExecutionResult
 runExecution(const ExecutionOptions &options)
 {
@@ -85,9 +71,6 @@ runExecution(const ExecutionOptions &options)
     const SimTime deadline = scheduler.now() + scenario.horizon;
     int injections_used = 0;
     bool violated = false;
-    // Mutable copy: a snapshot resume swaps in the new schedule whose
-    // suffix this continuation is about to execute.
-    std::vector<int> schedule = options.schedule;
 
     const auto evaluate = [&]() -> bool {
         for (auto &oracle : oracles) {
@@ -120,43 +103,19 @@ runExecution(const ExecutionOptions &options)
                 cp.injections_left =
                     scenario.max_injections - injections_used;
                 cp.events_before = scheduler.executedEvents();
-                // The fingerprint is hashed BEFORE the checkpoint is
-                // parked, so every continuation forked from it inherits
-                // the memoized value instead of re-walking the state.
                 if (options.fingerprints) {
                     cp.fingerprint_before = stateFingerprint(system);
                     ++result.fingerprints_computed;
                 }
-                const int depth =
-                    static_cast<int>(result.choice_points.size());
-                result.choice_points.push_back(std::move(cp));
-                if (options.session != nullptr) {
-                    const ChoicePoint &recorded =
-                        result.choice_points.back();
-                    const std::uint64_t key = choiceStateKey(
-                        recorded.fingerprint_before,
-                        options.max_choice_points - depth,
-                        recorded.injections_left);
-                    if (auto resumed =
-                            options.session->parkAtChoicePoint(depth,
-                                                               key)) {
-                        // This process is now a forked continuation of
-                        // the checkpoint: adopt the new schedule and
-                        // account for the prefix it inherited for free.
-                        schedule = std::move(*resumed);
-                        result.resume_depth = depth;
-                        result.events_at_resume =
-                            scheduler.executedEvents();
-                        result.fingerprints_computed = 0;
-                    }
-                }
-                chosen = depth < static_cast<int>(schedule.size())
-                             ? schedule[static_cast<std::size_t>(depth)]
+                const std::size_t depth = result.choice_points.size();
+                chosen = depth < options.schedule.size()
+                             ? options.schedule[depth]
                              : 0;
                 if (chosen < 0 ||
                     chosen >= static_cast<int>(choice_options.size()))
                     chosen = 0; // out of range: take the default
-                result.choice_points.back().chosen = chosen;
+                cp.chosen = chosen;
+                result.choice_points.push_back(std::move(cp));
             }
         }
 
@@ -194,12 +153,6 @@ runExecution(const ExecutionOptions &options)
             violation.time = scheduler.now();
             result.violations.push_back(std::move(violation));
         }
-    }
-    result.events_total = scheduler.executedEvents();
-    if (options.capture_final_state) {
-        result.final_fingerprint = stateFingerprint(system);
-        result.final_dumpsys = sim::dumpsys(system);
-        result.final_trace_csv = system.trace().toCsv();
     }
     return result;
 }

@@ -37,8 +37,6 @@
 
 namespace rchdroid::mc {
 
-class SnapshotSession;
-
 /** One runnable continuation at a choice point. */
 struct ChoiceOption
 {
@@ -96,19 +94,6 @@ struct ExecutionOptions
     bool run_analysis = true;
     /** Compute state fingerprints at choice points. */
     bool fingerprints = true;
-    /**
-     * When set, the executor parks a copy-on-write checkpoint at every
-     * choice point and may *become* a resumed continuation mid-run: the
-     * session hands it a replacement schedule and the executor replays
-     * only the suffix (see mc/snapshot_session.h). Null means classic
-     * replay-from-root.
-     */
-    SnapshotSession *session = nullptr;
-    /**
-     * Capture final fingerprint/dumpsys/trace into the result — the
-     * bit-identity evidence the snapshot equivalence tests compare.
-     */
-    bool capture_final_state = false;
 };
 
 struct ExecutionResult
@@ -120,36 +105,12 @@ struct ExecutionResult
     std::uint64_t steps = 0;
     /** The depth bound forced defaults on a ≥2-option step. */
     bool hit_depth_cap = false;
-    /**
-     * Choice-point depth this execution was resumed from (-1 when it
-     * ran from the root). Depths < resume_depth were inherited from the
-     * checkpoint, not re-executed.
-     */
-    int resume_depth = -1;
-    /** Scheduler events already executed at the resume point. */
-    std::uint64_t events_at_resume = 0;
-    /** Scheduler events executed by the end of the run. */
-    std::uint64_t events_total = 0;
-    /** stateFingerprint() walks actually performed by this process. */
+    /** stateFingerprint() walks performed by this execution. */
     std::uint64_t fingerprints_computed = 0;
-    /** Final-state evidence (only with capture_final_state). */
-    std::uint64_t final_fingerprint = 0;
-    std::string final_dumpsys;
-    std::string final_trace_csv;
 };
 
 /** Run one schedule start to finish. Deterministic. */
 ExecutionResult runExecution(const ExecutionOptions &options);
-
-/**
- * Canonical 64-bit key of a choice-point state: the explorer's
- * visited-table tuple (fingerprint, remaining depth, remaining
- * injection budget) mixed FNV-style. Both the explorer (when closing a
- * subtree) and the executor (when deciding whether a checkpoint could
- * ever be resumed) must derive keys through this one function.
- */
-std::uint64_t choiceStateKey(std::uint64_t fingerprint,
-                             int remaining_depth, int injections_left);
 
 } // namespace rchdroid::mc
 

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
 #include <tuple>
 #include <utility>
 
-#include "mc/snapshot_session.h"
 #include "platform/logging.h"
 
 namespace rchdroid::mc {
@@ -45,22 +43,10 @@ class Explorer
     ExplorerReport
     run()
     {
-        if (options_.snapshots && sim::SnapshotHost::supported()) {
-            session_ =
-                std::make_unique<SnapshotSession>(options_.max_depth);
-            if (!session_->active())
-                session_.reset(); // pipe setup failed: replay-from-root
-        }
         std::vector<int> prefix;
         ExecutionResult root = execute(prefix);
         report_.stats.schedules_covered = dfs(prefix, root, 0, {});
         report_.stats.distinct_states = visited_.size();
-        if (session_ != nullptr) {
-            report_.stats.snapshots_active = true;
-            report_.stats.snapshots_taken = session_->snapshotsTaken();
-            report_.stats.snapshot_restores = session_->restores();
-            session_.reset(); // reap checkpoints before returning
-        }
         return std::move(report_);
     }
 
@@ -134,7 +120,7 @@ class Explorer
     }
 
     ExecutionResult
-    execute(const std::vector<int> &schedule, bool last_use = false)
+    execute(const std::vector<int> &schedule)
     {
         ++report_.stats.executions;
         ExecutionOptions eo;
@@ -144,25 +130,14 @@ class Explorer
         eo.oracles = options_.oracles;
         eo.run_analysis = options_.run_analysis;
         eo.fingerprints = options_.reduction;
-        ExecutionResult result =
-            session_ != nullptr
-                ? session_->execute(eo, last_use, closed_keys_)
-                : runExecution(eo);
+        ExecutionResult result = runExecution(eo);
         // "Replayed" = redundant prefix work: events this execution
         // re-ran up to its divergence point (the last schedule entry)
-        // that an earlier execution had already performed. Checkpoint
-        // resumes inherit that prefix instead ("saved").
-        const int divergence = static_cast<int>(schedule.size()) - 1;
-        if (divergence >= 0 &&
-            divergence < static_cast<int>(result.choice_points.size())) {
-            const std::uint64_t prefix_events =
-                result.choice_points[static_cast<std::size_t>(divergence)]
-                    .events_before;
-            if (prefix_events > result.events_at_resume)
-                report_.stats.events_replayed +=
-                    prefix_events - result.events_at_resume;
-        }
-        report_.stats.events_saved += result.events_at_resume;
+        // that an earlier execution had already performed.
+        if (!schedule.empty() &&
+            schedule.size() <= result.choice_points.size())
+            report_.stats.events_replayed +=
+                result.choice_points[schedule.size() - 1].events_before;
         for (const McViolation &violation : result.violations) {
             if (!seen_.insert({violation.oracle, violation.summary}).second)
                 continue;
@@ -178,37 +153,6 @@ class Explorer
                 report_.first_violation_schedule.push_back(0);
         }
         return result;
-    }
-
-    /**
-     * Will any sibling after `i` be executed at this choice point?
-     * Mirrors the skip conditions of the dfs loop exactly (the sleep
-     * set is fixed across one node's iteration, so the answer is
-     * stable). False means sibling `i` is the checkpoint's last user
-     * and its resume may consume the checkpoint in place.
-     */
-    bool
-    moreSiblingsAfter(const ChoicePoint &cp, int i,
-                      const std::vector<SleepEntry> &sleep,
-                      bool prune_siblings) const
-    {
-        for (int j = i + 1; j < static_cast<int>(cp.options.size());
-             ++j) {
-            if (j == cp.chosen)
-                continue; // spine reuse: no execution, no resume
-            if (prune_siblings)
-                continue;
-            const ChoiceOption &option = cp.options[j];
-            if (options_.reduction &&
-                option.kind == ChoiceOption::Kind::Event &&
-                std::any_of(sleep.begin(), sleep.end(),
-                            [&option](const SleepEntry &entry) {
-                                return entry.id == option.event_id;
-                            }))
-                continue;
-            return true;
-        }
-        return false;
     }
 
     /**
@@ -272,9 +216,7 @@ class Explorer
                 prefix.pop_back();
                 break;
             } else {
-                branch = execute(prefix,
-                                 !moreSiblingsAfter(cp, i, sleep,
-                                                    prune_siblings));
+                branch = execute(prefix);
                 child = &branch;
             }
 
@@ -317,25 +259,14 @@ class Explorer
                     SleepEntry{option.event_id, footprint, segment});
         }
 
-        if (options_.reduction && !truncated_) {
+        if (options_.reduction && !truncated_)
             visited_[key] = covered;
-            // Mirror the entry as a closed-subtree key for the
-            // checkpoint veto (ships to workers with each resume —
-            // their forked copies of `visited_` are frozen in time).
-            closed_keys_.push_back(choiceStateKey(
-                cp.fingerprint_before,
-                options_.max_depth - static_cast<int>(level),
-                cp.injections_left));
-        }
         return covered;
     }
 
     ExplorerOptions options_;
     ExplorerReport report_;
-    std::unique_ptr<SnapshotSession> session_;
     std::map<VisitedKey, std::uint64_t> visited_;
-    /** choiceStateKey() of every visited_ entry, in insertion order. */
-    std::vector<std::uint64_t> closed_keys_;
     std::set<std::pair<std::string, std::string>> seen_;
     bool truncated_ = false;
 };

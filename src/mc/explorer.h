@@ -47,13 +47,8 @@
  *
  * Exploration pays one execution per explored branch: one execution
  * serves as the "spine" for the whole default-continuation of its
- * prefix. By default those executions are *snapshot-forked* — a
- * SnapshotSession (mc/snapshot_session.h) parks a copy-on-write
- * process checkpoint at every choice point and each branch resumes
- * from the deepest checkpoint sharing its prefix, re-executing only
- * the suffix below the backtrack point. With snapshots off (or
- * unsupported) each branch is a full replay-from-root via
- * runExecution(); both modes produce bit-identical reports.
+ * prefix. Each branch is a full replay from the root via
+ * runExecution().
  */
 #ifndef RCHDROID_MC_EXPLORER_H
 #define RCHDROID_MC_EXPLORER_H
@@ -80,13 +75,6 @@ struct ExplorerOptions
     bool run_analysis = true;
     /** Sleep sets + visited-state pruning; false = naive DFS. */
     bool reduction = true;
-    /**
-     * Fork branch executions from copy-on-write checkpoints instead of
-     * replaying from the root. Purely a performance switch: reports are
-     * bit-identical either way. Silently ignored where
-     * sim::SnapshotHost::supported() is false.
-     */
-    bool snapshots = true;
     /**
      * The static independence oracle, or null for unguided DPOR. Only
      * consulted when `reduction` is on; soundness obligations are
@@ -116,18 +104,9 @@ struct ExplorerStats
     std::uint64_t mhp_sleep_keeps = 0;
     /** True when max_executions stopped the search early. */
     bool truncated = false;
-    /** True when executions actually ran snapshot-forked. */
-    bool snapshots_active = false;
-    /** Copy-on-write checkpoints parked across the search. */
-    std::uint64_t snapshots_taken = 0;
-    /** Executions resumed from a checkpoint (vs from the root). */
-    std::uint64_t snapshot_restores = 0;
     /** Redundant prefix events re-executed to reach branch divergence
-     * points — the cost of replay-from-root; 0 when every branch
-     * resumed from a checkpoint at its exact divergence depth. */
+     * points — the cost of replay-from-root. */
     std::uint64_t events_replayed = 0;
-    /** Prefix events inherited from checkpoints instead of re-run. */
-    std::uint64_t events_saved = 0;
 };
 
 struct ExplorerReport

@@ -1,6 +1,7 @@
 #include "platform/strings.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -23,6 +24,22 @@ splitString(const std::string &text, char delim)
     }
     out.push_back(current);
     return out;
+}
+
+Result<std::int64_t>
+parseInteger(const std::string &text, std::int64_t min, std::int64_t max,
+             const std::string &what)
+{
+    std::int64_t value = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ptr != end || ec != std::errc() || value < min ||
+        value > max) {
+        return Status::invalidArgument(
+            what + ": expected an integer in [" + std::to_string(min) +
+            ", " + std::to_string(max) + "], got \"" + text + "\"");
+    }
+    return value;
 }
 
 std::string

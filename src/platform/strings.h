@@ -6,8 +6,11 @@
 #ifndef RCHDROID_PLATFORM_STRINGS_H
 #define RCHDROID_PLATFORM_STRINGS_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
+
+#include "platform/status.h"
 
 namespace rchdroid {
 
@@ -20,6 +23,15 @@ std::string joinStrings(const std::vector<std::string> &parts,
 
 /** True if text begins with prefix. */
 bool startsWith(const std::string &text, const std::string &prefix);
+
+/**
+ * Parse the whole of `text` as a base-10 integer in [min, max]. Empty
+ * text, anything but an optional '-' and digits, and out-of-range
+ * values are InvalidArgument errors whose message starts with `what`
+ * (e.g. the command-line flag being parsed).
+ */
+Result<std::int64_t> parseInteger(const std::string &text, std::int64_t min,
+                                  std::int64_t max, const std::string &what);
 
 /** Fixed-point formatting, e.g. formatDouble(1.2345, 2) == "1.23". */
 std::string formatDouble(double value, int decimals);

@@ -37,6 +37,13 @@ struct JsonValue
 class JsonParser
 {
   public:
+    /**
+     * Most arrays/objects that may be open at once. The tracer writes
+     * four levels; the bound keeps hostile input from recursing off the
+     * end of the stack.
+     */
+    static constexpr int kMaxNesting = 64;
+
     explicit JsonParser(const std::string &text) : text_(text) {}
 
     bool parse(JsonValue &out)
@@ -84,8 +91,17 @@ class JsonParser
         if (pos_ >= text_.size())
             return fail("unexpected end of input");
         switch (text_[pos_]) {
-          case '{': return parseObject(out);
-          case '[': return parseArray(out);
+          case '{':
+          case '[': {
+            if (depth_ == kMaxNesting)
+                return fail("nesting deeper than " +
+                            std::to_string(kMaxNesting));
+            ++depth_;
+            const bool ok = text_[pos_] == '{' ? parseObject(out)
+                                               : parseArray(out);
+            --depth_;
+            return ok;
+          }
           case '"':
             out.type = JsonValue::Type::kString;
             return parseString(out.str);
@@ -256,6 +272,7 @@ class JsonParser
 
     const std::string &text_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
     std::string error_;
 };
 

@@ -5,10 +5,10 @@
  * — the offline half of the profiler, used by tools/rchdroid_profile.
  *
  * The parser is a small hand-rolled recursive-descent JSON reader (the
- * repo takes no third-party dependencies); it accepts general JSON but
- * only the fields the tracer emits are interpreted. Timestamps come
- * back as microseconds with three decimals and are converted to the
- * simulator's integer nanoseconds exactly.
+ * repo takes no third-party dependencies); it accepts general JSON
+ * nested up to 64 levels deep, but only the fields the tracer emits are
+ * interpreted. Timestamps come back as microseconds with three decimals
+ * and are converted to the simulator's integer nanoseconds exactly.
  */
 #ifndef RCHDROID_PROFILING_TRACE_READER_H
 #define RCHDROID_PROFILING_TRACE_READER_H

@@ -52,6 +52,9 @@ View::markDestroyed()
     visit([](View &v) {
         v.destroyed_ = true;
         v.host_ = nullptr;
+        // The surviving peer must not keep a link into the freed tree.
+        if (v.sunny_peer_ != nullptr && v.sunny_peer_->sunny_peer_ == &v)
+            v.sunny_peer_->sunny_peer_ = nullptr;
         v.sunny_peer_ = nullptr;
     });
 }

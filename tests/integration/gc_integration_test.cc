@@ -41,6 +41,33 @@ TEST(GcIntegration, IdleShadowCollectedAfterThreshold)
     EXPECT_EQ(system.atms().recordCount(), 1u);
 }
 
+TEST(GcIntegration, CollectionClearsTheSurvivorsPeerLinks)
+{
+    AndroidSystem system(rchOptions());
+    const auto spec = apps::makeBenchmarkApp(4);
+    system.install(spec);
+    system.launch(spec);
+    system.rotate();
+    ASSERT_TRUE(system.waitHandlingComplete());
+
+    const auto foreground = system.threadFor(spec).foregroundActivity();
+    ASSERT_NE(foreground, nullptr);
+    const auto linkedViews = [&foreground] {
+        int linked = 0;
+        foreground->window().decorView().visitConst([&linked](const View &v) {
+            if (v.sunnyPeer() != nullptr)
+                ++linked;
+        });
+        return linked;
+    };
+    ASSERT_GT(linkedViews(), 0); // mapped against the shadow
+
+    system.runFor(seconds(70)); // GC collects the shadow
+    ASSERT_EQ(system.threadFor(spec).shadowActivity(), nullptr);
+    // No foreground view may point into the freed shadow tree.
+    EXPECT_EQ(linkedViews(), 0);
+}
+
 TEST(GcIntegration, FrequentFlippingKeepsShadowAlive)
 {
     AndroidSystem system(rchOptions());

@@ -45,6 +45,28 @@ TEST(Strings, StartsWith)
     EXPECT_TRUE(startsWith("abc", ""));
 }
 
+TEST(Strings, ParseIntegerAcceptsWholeInRangeNumbers)
+{
+    EXPECT_EQ(parseInteger("16", 1, 64, "--depth").value(), 16);
+    EXPECT_EQ(parseInteger("-3", -5, 5, "n").value(), -3);
+    EXPECT_EQ(parseInteger("9223372036854775807", 0, INT64_MAX, "n").value(),
+              INT64_MAX);
+}
+
+TEST(Strings, ParseIntegerRejectsEverythingElse)
+{
+    for (const char *bad : {"", "abc", "1x", " 1", "+1", "1.5", "0", "65",
+                            "99999999999999999999"}) {
+        const Result<std::int64_t> parsed = parseInteger(bad, 1, 64, "--depth");
+        ASSERT_FALSE(parsed) << '"' << bad << '"';
+        EXPECT_EQ(parsed.status().code(), StatusCode::InvalidArgument);
+        EXPECT_EQ(parsed.status().message(),
+                  std::string("--depth: expected an integer in [1, 64], "
+                              "got \"") +
+                      bad + "\"");
+    }
+}
+
 TEST(Strings, FormatDouble)
 {
     EXPECT_EQ(formatDouble(1.2345, 2), "1.23");

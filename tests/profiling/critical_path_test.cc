@@ -253,5 +253,21 @@ TEST(CriticalPath, JsonRoundTripYieldsIdenticalPaths)
 
 #endif // RCHDROID_TRACING
 
+TEST(CriticalPath, DeepNestingIsAParseErrorNotACrash)
+{
+    // One level past the limit fails at the offending bracket; a file of
+    // 200k brackets used to recurse once per '[' off the end of the stack.
+    const std::string too_deep(65, '[');
+    EXPECT_EQ(parseChromeTrace(too_deep).error,
+              "JSON parse error: nesting deeper than 64 at offset 64");
+    EXPECT_EQ(parseChromeTrace(std::string(200'000, '[')).error,
+              "JSON parse error: nesting deeper than 64 at offset 64");
+
+    // Exactly at the limit still parses (and then fails on content).
+    const std::string at_limit = std::string(63, '[') + "{}" +
+                                 std::string(63, ']');
+    EXPECT_EQ(parseChromeTrace(at_limit).error, "missing traceEvents array");
+}
+
 } // namespace
 } // namespace rchdroid::profiling

@@ -25,136 +25,66 @@ sys.path.insert(
 import compare_mc  # noqa: E402
 
 
-def cell(identical=True, reduction=100.0, snap_replayed=0.0,
-         root_replayed=11.0, schedules=1000, executions=100,
-         snap_wall=50.0, root_wall=25.0):
+def cell(**overrides):
     """One scenario's bench_mc cell with sane defaults."""
-    return {
-        "snapshot": {
-            "schedules_covered": schedules, "executions": executions,
-            "events_replayed": int(snap_replayed * executions),
-            "replayed_per_execution": snap_replayed,
-            "events_saved": 2000, "wall_ms": snap_wall,
-        },
-        "replay_from_root": {
-            "schedules_covered": schedules, "executions": executions,
-            "events_replayed": int(root_replayed * executions),
-            "replayed_per_execution": root_replayed,
-            "events_saved": 0, "wall_ms": root_wall,
-        },
-        "identical": identical,
-        "events_replayed_reduction": reduction,
-    }
+    values = {key: 7 for key in compare_mc.COUNTERS}
+    values.update(truncated=False, wall_ms=25.0, executions_per_sec=4000.0)
+    values.update(overrides)
+    return values
 
 
-def report(scenarios, all_identical=True):
-    return {
-        "depth": 10,
-        "scenarios": scenarios,
-        "totals": {"snapshot_wall_ms": 100.0, "root_wall_ms": 50.0,
-                   "all_identical": all_identical},
-    }
+def report(scenarios, depth=10, wall_ms=100.0):
+    return {"depth": depth, "scenarios": scenarios,
+            "totals": {"wall_ms": wall_ms}}
 
 
-class IdentityGateTest(unittest.TestCase):
-    def test_clean_report_passes(self):
-        current = report({"quickstart": cell()})
-        self.assertEqual(compare_mc.check_identity(current), [])
+class CounterGateTest(unittest.TestCase):
+    def test_identical_counters_pass(self):
+        base = report({"quickstart": cell()})
+        self.assertEqual(compare_mc.check_counters(base, base), [])
 
-    def test_diverged_scenario_is_an_error(self):
-        current = report({"quickstart": cell(identical=False)},
-                         all_identical=False)
-        errors = compare_mc.check_identity(current)
-        self.assertEqual(len(errors), 2)  # scenario + totals
-        self.assertIn("quickstart", errors[0])
+    def test_wall_time_is_not_a_counter(self):
+        base = report({"quickstart": cell(wall_ms=25.0)})
+        cur = report({"quickstart": cell(wall_ms=90.0)})
+        self.assertEqual(compare_mc.check_counters(base, cur), [])
 
-    def test_false_totals_alone_is_an_error(self):
-        current = report({"quickstart": cell()}, all_identical=False)
-        errors = compare_mc.check_identity(current)
-        self.assertEqual(len(errors), 1)
-        self.assertIn("all_identical", errors[0])
+    def test_every_counter_is_gated(self):
+        for key in compare_mc.COUNTERS:
+            base = report({"quickstart": cell()})
+            cur = report({"quickstart": cell(**{key: 8})})
+            errors = compare_mc.check_counters(base, cur)
+            self.assertEqual(len(errors), 1, key)
+            self.assertIn(f"quickstart: {key} moved", errors[0])
+            self.assertIn("-> 8", errors[0])
 
-
-class ReductionFloorTest(unittest.TestCase):
-    def test_reduction_above_floor_passes(self):
-        current = report({"quickstart": cell(reduction=5.0)})
-        self.assertIsNone(
-            compare_mc.check_reduction_floor(current, 5.0))
-
-    def test_reduction_below_floor_fails(self):
-        current = report({"quickstart": cell(reduction=4.9)})
-        error = compare_mc.check_reduction_floor(current, 5.0)
-        self.assertIn("4.9x", error)
-
-    def test_missing_quickstart_fails(self):
-        current = report({"login_form": cell()})
-        error = compare_mc.check_reduction_floor(current, 5.0)
-        self.assertIn("missing", error)
-
-
-class ReplayedRegressionTest(unittest.TestCase):
-    def test_unchanged_replayed_passes(self):
-        base = report({"quickstart": cell(snap_replayed=0.0)})
-        cur = report({"quickstart": cell(snap_replayed=0.0)})
-        errors, warnings = compare_mc.check_replayed_regressions(
-            base, cur, 0.5)
-        self.assertEqual(errors, [])
-        self.assertEqual(warnings, [])
-
-    def test_growth_within_epsilon_is_tolerated(self):
-        base = report({"quickstart": cell(snap_replayed=0.0)})
-        cur = report({"quickstart": cell(snap_replayed=0.5)})
-        errors, _ = compare_mc.check_replayed_regressions(base, cur, 0.5)
-        self.assertEqual(errors, [])
-
-    def test_growth_beyond_epsilon_is_an_error(self):
-        base = report({"quickstart": cell(snap_replayed=0.0)})
-        cur = report({"quickstart": cell(snap_replayed=0.6)})
-        errors, _ = compare_mc.check_replayed_regressions(base, cur, 0.5)
-        self.assertEqual(len(errors), 1)
-        self.assertIn("divergence points", errors[0])
-
-    def test_missing_scenario_warns_not_crashes(self):
+    def test_missing_scenario_is_an_error(self):
         base = report({"quickstart": cell(), "gone": cell()})
         cur = report({"quickstart": cell()})
-        errors, warnings = compare_mc.check_replayed_regressions(
-            base, cur, 0.5)
-        self.assertEqual(errors, [])
-        self.assertEqual(len(warnings), 1)
-        self.assertIn("gone", warnings[0])
+        errors = compare_mc.check_counters(base, cur)
+        self.assertEqual(errors, ["scenario gone missing from run"])
 
-
-class ScheduleDriftTest(unittest.TestCase):
-    def test_identical_counts_are_silent(self):
-        base = report({"quickstart": cell()})
-        cur = report({"quickstart": cell()})
-        self.assertEqual(
-            compare_mc.check_schedule_drift(base, cur), [])
-
-    def test_moved_counts_warn(self):
-        base = report({"quickstart": cell(schedules=1000)})
-        cur = report({"quickstart": cell(schedules=999)})
-        warnings = compare_mc.check_schedule_drift(base, cur)
-        self.assertEqual(len(warnings), 1)
-        self.assertIn("baseline", warnings[0])
+    def test_depth_mismatch_is_an_error(self):
+        errors = compare_mc.check_counters(
+            report({"quickstart": cell()}, depth=10),
+            report({"quickstart": cell()}, depth=12))
+        self.assertEqual(len(errors), 1)
+        self.assertIn("depth 12", errors[0])
 
 
 class WallAdvisoryTest(unittest.TestCase):
-    def test_wall_within_ratio_is_silent(self):
-        cur = report(
-            {"quickstart": cell(snap_wall=74.0, root_wall=25.0)})
-        self.assertEqual(compare_mc.check_wall(cur, 3.0), [])
+    def test_wall_within_threshold_is_silent(self):
+        self.assertEqual(compare_mc.check_wall(
+            report({}, wall_ms=100.0), report({}, wall_ms=120.0), 0.20), [])
 
-    def test_wall_beyond_ratio_warns_only(self):
-        cur = report(
-            {"quickstart": cell(snap_wall=76.0, root_wall=25.0)})
-        warnings = compare_mc.check_wall(cur, 3.0)
+    def test_wall_beyond_threshold_warns(self):
+        warnings = compare_mc.check_wall(
+            report({}, wall_ms=100.0), report({}, wall_ms=121.0), 0.20)
         self.assertEqual(len(warnings), 1)
         self.assertIn("advisory", warnings[0])
 
-    def test_zero_root_wall_carries_no_signal(self):
-        cur = report({"quickstart": cell(snap_wall=10.0, root_wall=0.0)})
-        self.assertEqual(compare_mc.check_wall(cur, 3.0), [])
+    def test_zero_baseline_wall_carries_no_signal(self):
+        self.assertEqual(compare_mc.check_wall(
+            report({}, wall_ms=0.0), report({}, wall_ms=10.0), 0.20), [])
 
 
 class MainTest(unittest.TestCase):
@@ -179,27 +109,25 @@ class MainTest(unittest.TestCase):
         code, out = self.run_main(report({"quickstart": cell()}),
                                   report({"quickstart": cell()}))
         self.assertEqual(code, 0)
-        self.assertIn("gates passed", out)
+        self.assertIn("match the baseline", out)
 
-    def test_divergence_exits_one(self):
-        code, out = self.run_main(
-            report({"quickstart": cell()}),
-            report({"quickstart": cell(identical=False)},
-                   all_identical=False))
+    def test_counter_drift_exits_one(self):
+        code, out = self.run_main(report({"quickstart": cell()}),
+                                  report({"quickstart": cell(executions=9)}))
         self.assertEqual(code, 1)
         self.assertIn("::error::", out)
 
-    def test_reduction_floor_violation_exits_one(self):
+    def test_slow_run_only_warns(self):
         code, out = self.run_main(
-            report({"quickstart": cell()}),
-            report({"quickstart": cell(reduction=2.0)}))
-        self.assertEqual(code, 1)
-        self.assertIn("floor", out)
-
-    def test_missing_baseline_is_advisory(self):
-        code, out = self.run_main(None, report({"quickstart": cell()}))
+            report({"quickstart": cell()}, wall_ms=100.0),
+            report({"quickstart": cell()}, wall_ms=500.0))
         self.assertEqual(code, 0)
         self.assertIn("::warning::", out)
+
+    def test_missing_baseline_fails(self):
+        code, out = self.run_main(None, report({"quickstart": cell()}))
+        self.assertEqual(code, 1)
+        self.assertIn("::error::", out)
 
     def test_too_few_arguments_prints_usage(self):
         stdout = io.StringIO()

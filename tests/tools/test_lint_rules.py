@@ -198,61 +198,6 @@ class LintRulesTest(unittest.TestCase):
         code, errors = self.repo.lint()
         self.assertEqual(code, 0)
 
-    def test_snapshot_seam_rule_blocks_analysis_includes(self):
-        self.repo.write("src/sim/snapshot.cc",
-                        '#include "analysis/analyzer.h"\n')
-        code, errors = self.repo.lint()
-        self.assertEqual(code, 1)
-        self.assertEqual(self.rules(errors), ["snapshot-seam"])
-
-    def test_snapshot_seam_rule_blocks_sa_even_inside_mc(self):
-        # mc/ at large may bridge to sa/ (rule 5 allows it), but the
-        # snapshot files inside mc/ may not: rule 7 is stricter than
-        # the layer rule and fires alone here.
-        self.repo.write("src/mc/snapshot_session.cc",
-                        '#include "sa/mhp.h"\n')
-        code, errors = self.repo.lint()
-        self.assertEqual(code, 1)
-        self.assertEqual(self.rules(errors), ["snapshot-seam"])
-
-    def test_snapshot_seam_rule_stacks_with_the_layer_rule(self):
-        # profiling/ is banned by both rule 5 (mc-seam) and rule 7, so
-        # one bad include is reported from both angles.
-        self.repo.write("src/mc/snapshot_session.h",
-                        '#include "profiling/critical_path.h"\n')
-        code, errors = self.repo.lint()
-        self.assertEqual(code, 1)
-        self.assertEqual(sorted(self.rules(errors)),
-                         ["mc-seam", "snapshot-seam"])
-
-    def test_snapshot_seam_rule_allows_the_versioned_stores(self):
-        self.repo.write("src/sim/snapshot.cc",
-                        '#include "sim/snapshot.h"\n'
-                        '#include "platform/logging.h"\n')
-        self.repo.write("src/mc/snapshot_session.cc",
-                        '#include "mc/snapshot_session.h"\n'
-                        '#include "mc/execution.h"\n'
-                        '#include "sim/android_system.h"\n'
-                        '#include "os/looper.h"\n'
-                        '#include "platform/time.h"\n')
-        code, errors = self.repo.lint()
-        self.assertEqual(code, 0)
-
-    def test_snapshot_seam_include_in_comment_is_exempt(self):
-        self.repo.write("src/sim/snapshot.cc",
-                        '// #include "sa/mhp.h" would couple the store '
-                        'to the analyzer\n')
-        code, errors = self.repo.lint()
-        self.assertEqual(code, 0)
-
-    def test_snapshot_named_file_outside_src_is_out_of_scope(self):
-        # Rule 7 polices the src/ snapshot layer only; a test named
-        # snapshot_test.cc may include whatever it exercises.
-        self.repo.write("tests/sim/snapshot_test.cc",
-                        '#include "analysis/analyzer.h"\n')
-        code, errors = self.repo.lint()
-        self.assertEqual(code, 0)
-
     def test_checker_tests_rule_fires_on_missing_test_file(self):
         os.remove(os.path.join(
             self.repo.root, "tests/sa/checker_stale_reference_test.cc"))

@@ -1,203 +1,100 @@
 #!/usr/bin/env python3
 """Gate a BENCH_mc.json run against bench/BENCH_mc.baseline.json.
 
-Usage: compare_mc.py BASELINE_JSON CURRENT_JSON [--reduction-floor=5.0]
-                     [--replayed-epsilon=0.5] [--wall-ratio=3.0]
+Usage: compare_mc.py BASELINE_JSON CURRENT_JSON
 
-bench_mc runs every model-check scenario twice — snapshot-forked and
-replay-from-root — so the report splits into two kinds of numbers, and
-(following tools/compare_simcore.py) they gate differently:
+bench_mc explores every model-check scenario once and reports two kinds
+of numbers, which (following tools/compare_simcore.py) gate differently:
 
-Deterministic counters gate HARD (exit 1 with a ::error::):
-  * any scenario where the two arms diverged (`identical` false, or
-    `totals.all_identical` false) — the bit-identity soundness bar;
-  * the quickstart `events_replayed_reduction` below the floor — the
-    headline perf_opt acceptance criterion (snapshot resumes must kill
-    at least `--reduction-floor` of the replay-from-root prefix work);
-  * a snapshot arm whose replayed-events-per-execution grew by more
-    than `--replayed-epsilon` over the baseline — checkpoints stopped
-    landing at the divergence points they used to.
+The deterministic counters (COUNTERS below) gate HARD: every baseline
+scenario must appear in the run, at the baseline's depth, with exactly
+the baseline's counters, or the script exits 1 with a ::error::. They
+move only when exploration or reduction logic changes, and the cure is
+refreshing the checked-in baseline in the same change.
 
-Wall-clock numbers only WARN: shared CI runners make them advisory,
-and at the catalogue's microsecond scenario scale a fork costs more
-than a whole re-execution, so the snapshot arm's wall is expected to
-trail until scenarios grow (see DESIGN.md §15). The warning threshold
-is `--wall-ratio` times the replay-from-root arm.
+Wall-clock time only WARNS, on shared CI runners: a total wall time more
+than WALL_THRESHOLD above the baseline's gets a ::warning::.
 
-Schedule/execution-count drifts against the baseline also only warn:
-they move legitimately when exploration or reduction logic changes,
-and the cure is refreshing the checked-in baseline in the same PR.
-
-A missing or unreadable baseline skips the baseline-relative checks
-with a warning (a branch may predate the baseline); the current run's
-self-contained gates (bit-identity, reduction floor) still apply.
+An unreadable baseline or run fails: there is nothing to gate against.
 """
 
 import json
 import sys
 
-QUICKSTART = "quickstart"
+#: Per-scenario counters that must equal the baseline.
+COUNTERS = ("schedules_covered", "executions", "choice_points",
+            "distinct_states", "visited_hits", "sleep_skips", "mhp_prunes",
+            "mhp_sleep_keeps", "events_replayed", "truncated", "violations")
+
+#: Relative total-wall growth over the baseline that draws a warning.
+WALL_THRESHOLD = 0.20
 
 
 def load_report(path, role):
-    """Load one report; None (with a warning) when absent/unparsable."""
+    """Load one report; None (with an error) when absent/unparsable."""
     try:
         with open(path) as handle:
             return json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
-        print(f"::warning::bench_mc {role} {path} unusable ({exc})")
+        print(f"::error::bench_mc {role} {path} unusable ({exc})")
         return None
 
 
-def check_identity(current):
-    """Hard bit-identity gate on the current run alone.
-
-    Returns a list of error strings (empty = pass): one per scenario
-    whose arms diverged, plus one for a false totals.all_identical.
-    """
+def check_counters(baseline, current):
+    """Hard gate: one error string per counter that left the baseline."""
+    if baseline.get("depth") != current.get("depth"):
+        return [f"depth {current.get('depth')} differs from the baseline's "
+                f"{baseline.get('depth')}"]
     errors = []
-    for name, cell in sorted(current.get("scenarios", {}).items()):
-        if cell.get("identical") is not True:
-            errors.append(
-                f"scenario {name}: snapshot and replay-from-root arms "
-                f"diverged (schedules/executions/violations)")
-    totals = current.get("totals", {})
-    if totals and totals.get("all_identical") is not True:
-        errors.append("totals.all_identical is false")
+    for name, base_cell in sorted(baseline.get("scenarios", {}).items()):
+        cur_cell = current.get("scenarios", {}).get(name)
+        if cur_cell is None:
+            errors.append(f"scenario {name} missing from run")
+            continue
+        for key in COUNTERS:
+            if base_cell.get(key) != cur_cell.get(key):
+                errors.append(
+                    f"scenario {name}: {key} moved {base_cell.get(key)} -> "
+                    f"{cur_cell.get(key)} — refresh "
+                    f"bench/BENCH_mc.baseline.json if the exploration "
+                    f"change is intentional")
     return errors
 
 
-def check_reduction_floor(current, floor):
-    """Hard gate: quickstart replayed-events reduction >= floor.
-
-    Returns an error string or None. A missing quickstart cell is an
-    error too — the acceptance metric must be measurable.
-    """
-    cell = current.get("scenarios", {}).get(QUICKSTART)
-    if cell is None:
-        return f"scenario {QUICKSTART} missing from run"
-    reduction = cell.get("events_replayed_reduction", 0.0)
-    if reduction < floor:
-        return (f"{QUICKSTART} events_replayed_reduction {reduction:.1f}x "
-                f"is below the {floor:.1f}x floor")
-    return None
-
-
-def check_replayed_regressions(baseline, current, epsilon):
-    """Deterministic perf gate vs baseline.
-
-    Returns (errors, warnings): an error per scenario whose snapshot
-    arm now replays more events per execution than the baseline plus
-    epsilon; a warning per scenario missing from the current run.
-    """
-    errors = []
-    warnings = []
-    for name, base_cell in sorted(baseline.get("scenarios", {}).items()):
-        cur_cell = current.get("scenarios", {}).get(name)
-        if cur_cell is None:
-            warnings.append(f"scenario {name} missing from run")
-            continue
-        base = base_cell.get("snapshot", {}).get("replayed_per_execution",
-                                                 0.0)
-        cur = cur_cell.get("snapshot", {}).get("replayed_per_execution",
-                                               0.0)
-        if cur > base + epsilon:
-            errors.append(
-                f"scenario {name}: snapshot arm replays "
-                f"{cur:.2f} events/execution (baseline {base:.2f} + "
-                f"epsilon {epsilon:.2f}) — checkpoints no longer land "
-                f"at divergence points")
-    return errors, warnings
-
-
-def check_schedule_drift(baseline, current):
-    """Advisory: schedule/execution counts moved vs the baseline."""
-    warnings = []
-    for name, base_cell in sorted(baseline.get("scenarios", {}).items()):
-        cur_cell = current.get("scenarios", {}).get(name)
-        if cur_cell is None:
-            continue
-        for key in ("schedules_covered", "executions"):
-            base = base_cell.get("snapshot", {}).get(key)
-            cur = cur_cell.get("snapshot", {}).get(key)
-            if base != cur:
-                warnings.append(
-                    f"scenario {name}: {key} moved {base} -> {cur} vs "
-                    f"baseline — refresh bench/BENCH_mc.baseline.json if "
-                    f"the exploration change is intentional")
-    return warnings
-
-
-def check_wall(current, ratio):
-    """Advisory: snapshot arm wall beyond ratio x replay-from-root."""
-    warnings = []
-    for name, cell in sorted(current.get("scenarios", {}).items()):
-        snap_ms = cell.get("snapshot", {}).get("wall_ms", 0.0)
-        root_ms = cell.get("replay_from_root", {}).get("wall_ms", 0.0)
-        if root_ms > 0.0 and snap_ms > ratio * root_ms:
-            warnings.append(
-                f"scenario {name}: snapshot wall {snap_ms:.1f} ms > "
-                f"{ratio:.1f}x replay-from-root {root_ms:.1f} ms "
-                f"(advisory at micro-scenario scale)")
-    return warnings
+def check_wall(baseline, current, threshold):
+    """Advisory: total wall time beyond (1 + threshold) x the baseline."""
+    base_ms = baseline.get("totals", {}).get("wall_ms", 0.0)
+    cur_ms = current.get("totals", {}).get("wall_ms", 0.0)
+    if base_ms > 0.0 and cur_ms > (1.0 + threshold) * base_ms:
+        return [f"total wall {cur_ms:.1f} ms is more than {threshold:.0%} "
+                f"above the baseline's {base_ms:.1f} ms (advisory)"]
+    return []
 
 
 def main(argv):
-    if len(argv) < 3:
+    if len(argv) != 3:
         print(__doc__)
         return 2
-    reduction_floor = 5.0
-    replayed_epsilon = 0.5
-    wall_ratio = 3.0
-    for arg in argv[3:]:
-        if arg.startswith("--reduction-floor="):
-            reduction_floor = float(arg.split("=", 1)[1])
-        elif arg.startswith("--replayed-epsilon="):
-            replayed_epsilon = float(arg.split("=", 1)[1])
-        elif arg.startswith("--wall-ratio="):
-            wall_ratio = float(arg.split("=", 1)[1])
-
-    current = load_report(argv[2], "run")
-    if current is None:
-        print("::error::bench_mc run report unusable — failing")
-        return 1
-
-    errors = check_identity(current)
-    floor_error = check_reduction_floor(current, reduction_floor)
-    if floor_error:
-        errors.append(floor_error)
-    warnings = check_wall(current, wall_ratio)
 
     baseline = load_report(argv[1], "baseline")
-    if baseline is None:
-        warnings.append("baseline missing — baseline-relative checks "
-                        "skipped")
-    else:
-        replay_errors, replay_warnings = check_replayed_regressions(
-            baseline, current, replayed_epsilon)
-        errors.extend(replay_errors)
-        warnings.extend(replay_warnings)
-        warnings.extend(check_schedule_drift(baseline, current))
+    current = load_report(argv[2], "run")
+    if baseline is None or current is None:
+        return 1
+
+    errors = check_counters(baseline, current)
+    warnings = check_wall(baseline, current, WALL_THRESHOLD)
 
     for name, cell in sorted(current.get("scenarios", {}).items()):
-        snap = cell.get("snapshot", {})
-        root = cell.get("replay_from_root", {})
-        print(f"{name}: {snap.get('schedules_covered')} schedules, "
-              f"replayed/exec {root.get('replayed_per_execution', 0):.1f}"
-              f" -> {snap.get('replayed_per_execution', 0):.1f}, "
-              f"saved {snap.get('events_saved')}, wall "
-              f"{root.get('wall_ms', 0):.1f} -> "
-              f"{snap.get('wall_ms', 0):.1f} ms, identical="
-              f"{cell.get('identical')}")
-
+        print(f"{name}: {cell.get('schedules_covered')} schedules, "
+              f"{cell.get('executions')} executions, "
+              f"{cell.get('executions_per_sec', 0):.0f} exec/s")
     for warning in warnings:
         print(f"::warning::bench_mc {warning}")
     for error in errors:
         print(f"::error::bench_mc {error}")
     if errors:
         return 1
-    print(f"bench_mc gates passed (reduction floor {reduction_floor:.1f}x,"
-          f" replayed epsilon {replayed_epsilon:.2f})")
+    print("bench_mc counters match the baseline")
     return 0
 
 

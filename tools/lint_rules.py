@@ -68,15 +68,6 @@ analysis/ and apps/ headers, never app/, ams/, rch/, resources/ or
 baseline/ internals directly. Activity-thread and policy internals are
 reached through the sim/ facade; a direct include would couple the
 checker to framework innards the scheduler seam deliberately hides.
-
-Rule 7 — snapshot-seam: the copy-on-write snapshot layer (the
-``snapshot*`` files in src/sim/ and src/mc/) may touch only the stores
-it versions — never analysis/, profiling/ or sa/ headers. A checkpoint
-must capture the simulated system bit-for-bit, and fork(2) already
-captures the whole process; pulling an analyzer or profiler into the
-snapshot layer would entangle observer state with the versioned store
-and quietly widen what a "restore" means. Observers stay outside: they
-re-attach to a restored system the same way they attach to a fresh one.
 """
 
 import json
@@ -110,16 +101,7 @@ PROFILING_ALLOWED_INCLUDES = ("profiling/", "platform/")
 MC_ALLOWED_INCLUDES = ("mc/", "sa/", "platform/", "os/", "sim/",
                        "view/", "analysis/", "apps/")
 
-#: Include prefixes the snapshot layer may never reach (rule 7).
-SNAPSHOT_BANNED_INCLUDES = ("analysis/", "profiling/", "sa/")
-
 SOURCE_SUFFIXES = (".h", ".cc")
-
-
-def is_snapshot_layer(rel):
-    """Rule 7's scope: snapshot* sources inside src/ (any layer)."""
-    return (rel.startswith("src" + os.sep) and
-            os.path.basename(rel).startswith("snapshot"))
 
 
 def seeded_kind_names(repo_root, errors):
@@ -249,20 +231,6 @@ def check_file(path, rel, kind_names, errors):
                     f"bridges sa/ and the simulator through "
                     f"{', '.join(MC_ALLOWED_INCLUDES)} only; framework "
                     f"internals stay behind the sim/ facade"))
-
-    if is_snapshot_layer(rel):
-        for number, line in enumerate(code.splitlines(), 1):
-            match = re.search(r'#\s*include\s*"([^"]+)"', line)
-            if not match:
-                continue
-            include = match.group(1)
-            if include.startswith(SNAPSHOT_BANNED_INCLUDES):
-                errors.append(_error(
-                    rel, number, "snapshot-seam",
-                    f"snapshot layer includes \"{include}\" — checkpoints "
-                    f"version the simulated stores only; analyzers, "
-                    f"profilers and the static analyzer re-attach to a "
-                    f"restored system from outside"))
 
     if layer == "profiling":
         for number, line in enumerate(code.splitlines(), 1):

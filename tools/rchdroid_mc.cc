@@ -23,9 +23,6 @@
  *   --no-mhp          disable the static independence oracle (classic
  *                     unguided DPOR; the guided-vs-unguided CI gate
  *                     compares this against the default)
- *   --no-snapshot     replay every branch from the root instead of
- *                     forking copy-on-write checkpoints (A/B flag; the
- *                     reports must be bit-identical either way)
  *   --json            machine-readable per-scenario report (stats incl.
  *                     sleep_skips / visited hits / mhp prunes + wall
  *                     time) on stdout instead of the text summary
@@ -36,11 +33,14 @@
  *   --trace-out=FILE  with --replay: write a Chrome trace-event JSON
  *                     of the replay (open in Perfetto)
  *
+ * Numeric flags are parsed strictly: an empty, non-numeric, negative or
+ * out-of-range value is a usage error naming the flag.
+ *
  * Exit code: 0 = no violation, 1 = violation found, 2 = usage error.
  */
 #include <chrono>
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -48,6 +48,7 @@
 #include "mc/explorer.h"
 #include "mc/minimize.h"
 #include "mc/scenario.h"
+#include "platform/strings.h"
 #include "platform/tracing.h"
 #include "sa/verdict.h"
 
@@ -64,7 +65,6 @@ struct Flags
     std::vector<std::string> oracles;
     bool naive = false;
     bool use_mhp = true;
-    bool use_snapshots = true;
     bool json = false;
     bool run_analysis = true;
     bool minimize = true;
@@ -93,6 +93,21 @@ splitCommas(const std::string &value)
     return out;
 }
 
+/** Strictly parse a numeric flag value into `out`; false on error. */
+template <typename T>
+bool
+parseNumber(const std::string &text, const char *flag, std::int64_t min,
+            std::int64_t max, T &out)
+{
+    const Result<std::int64_t> parsed = parseInteger(text, min, max, flag);
+    if (!parsed) {
+        std::fprintf(stderr, "%s\n", parsed.status().message().c_str());
+        return false;
+    }
+    out = static_cast<T>(parsed.value());
+    return true;
+}
+
 std::optional<Flags>
 parseFlags(int argc, char **argv)
 {
@@ -107,18 +122,19 @@ parseFlags(int argc, char **argv)
         } else if (arg.rfind("--app=", 0) == 0) {
             flags.app = value("--app=");
         } else if (arg.rfind("--depth=", 0) == 0) {
-            flags.depth = std::atoi(value("--depth=").c_str());
+            if (!parseNumber(value("--depth="), "--depth", 1, INT_MAX,
+                             flags.depth))
+                return std::nullopt;
         } else if (arg.rfind("--max-states=", 0) == 0) {
-            flags.max_states = std::strtoull(
-                value("--max-states=").c_str(), nullptr, 10);
+            if (!parseNumber(value("--max-states="), "--max-states", 1,
+                             INT64_MAX, flags.max_states))
+                return std::nullopt;
         } else if (arg.rfind("--oracles=", 0) == 0) {
             flags.oracles = splitCommas(value("--oracles="));
         } else if (arg == "--naive") {
             flags.naive = true;
         } else if (arg == "--no-mhp") {
             flags.use_mhp = false;
-        } else if (arg == "--no-snapshot") {
-            flags.use_snapshots = false;
         } else if (arg == "--json") {
             flags.json = true;
         } else if (arg == "--no-analysis") {
@@ -128,9 +144,12 @@ parseFlags(int argc, char **argv)
         } else if (arg.rfind("--replay=", 0) == 0) {
             flags.replay = true;
             for (const std::string &piece :
-                 splitCommas(value("--replay=")))
-                flags.replay_schedule.push_back(
-                    std::atoi(piece.c_str()));
+                 splitString(value("--replay="), ',')) {
+                int choice = 0;
+                if (!parseNumber(piece, "--replay", 0, INT_MAX, choice))
+                    return std::nullopt;
+                flags.replay_schedule.push_back(choice);
+            }
         } else if (arg.rfind("--trace-out=", 0) == 0) {
             flags.trace_out = value("--trace-out=");
         } else {
@@ -143,10 +162,6 @@ parseFlags(int argc, char **argv)
                      "usage: rchdroid_mc --app=NAME [--depth=N] "
                      "[--max-states=N] [--oracles=a,b] [--naive] "
                      "[--replay=i,j,k] [--trace-out=FILE] | --list\n");
-        return std::nullopt;
-    }
-    if (flags.depth <= 0) {
-        std::fprintf(stderr, "--depth must be positive\n");
         return std::nullopt;
     }
     return flags;
@@ -243,15 +258,8 @@ reportJson(const Flags &flags, const mc::Scenario &scenario,
     out += ", \"mhp_prunes\": " + std::to_string(stats.mhp_prunes);
     out += ", \"mhp_sleep_keeps\": " +
            std::to_string(stats.mhp_sleep_keeps);
-    out += ", \"snapshot\": ";
-    out += stats.snapshots_active ? "true" : "false";
-    out += ", \"snapshots_taken\": " +
-           std::to_string(stats.snapshots_taken);
-    out += ", \"snapshot_restores\": " +
-           std::to_string(stats.snapshot_restores);
     out += ", \"events_replayed\": " +
            std::to_string(stats.events_replayed);
-    out += ", \"events_saved\": " + std::to_string(stats.events_saved);
     out += ", \"truncated\": ";
     out += stats.truncated ? "true" : "false";
     char buf[40];
@@ -282,7 +290,6 @@ runExplore(const Flags &flags, const mc::Scenario &scenario)
     options.oracles = flags.oracles;
     options.run_analysis = flags.run_analysis;
     options.reduction = !flags.naive;
-    options.snapshots = flags.use_snapshots;
     const bool guided = flags.use_mhp && !flags.naive &&
                         !scenario.independence.empty();
     if (guided)
@@ -329,20 +336,6 @@ runExplore(const Flags &flags, const mc::Scenario &scenario)
         std::printf("  mhp sleep keeps   : %llu\n",
                     static_cast<unsigned long long>(
                         report.stats.mhp_sleep_keeps));
-    }
-    if (report.stats.snapshots_active) {
-        std::printf("  snapshots taken   : %llu\n",
-                    static_cast<unsigned long long>(
-                        report.stats.snapshots_taken));
-        std::printf("  snapshot restores : %llu\n",
-                    static_cast<unsigned long long>(
-                        report.stats.snapshot_restores));
-        std::printf("  events replayed   : %llu\n",
-                    static_cast<unsigned long long>(
-                        report.stats.events_replayed));
-        std::printf("  events saved      : %llu\n",
-                    static_cast<unsigned long long>(
-                        report.stats.events_saved));
     }
     std::printf("  wall time         : %.1f ms\n", wall_ms);
 

@@ -16,10 +16,10 @@
  */
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "platform/strings.h"
 #include "profiling/critical_path.h"
 #include "profiling/trace_reader.h"
 
@@ -45,10 +45,14 @@ main(int argc, char **argv)
         if (arg == "--json") {
             as_json = true;
         } else if (arg.rfind("--top=", 0) == 0) {
-            const long value = std::strtol(arg.c_str() + 6, nullptr, 10);
-            if (value <= 0)
+            const rchdroid::Result<std::int64_t> value =
+                rchdroid::parseInteger(arg.substr(6), 1, INT32_MAX, "--top");
+            if (!value) {
+                std::fprintf(stderr, "%s\n",
+                             value.status().message().c_str());
                 return usage(argv[0]);
-            top_k = static_cast<std::size_t>(value);
+            }
+            top_k = static_cast<std::size_t>(value.value());
         } else if (!arg.empty() && arg[0] == '-') {
             return usage(argv[0]);
         } else if (path.empty()) {
