@@ -13,19 +13,49 @@ Analyzer::Analyzer(AnalyzerOptions options)
       lifecycle_(sink_, context_)
 {
     sink_.setAbortOnViolation(options_.abort_on_violation);
-    sink_.setTimelineSnapshotter([this] {
-        return std::vector<std::string>(timeline_.begin(), timeline_.end());
-    });
+    sink_.setTimelineSnapshotter([this] { return timelineLines(); });
 }
 
-void
-Analyzer::noteTimeline(std::string line)
+Analyzer::TimelineEntry *
+Analyzer::nextTimelineSlot()
 {
     if (options_.timeline_capacity == 0)
-        return;
-    if (timeline_.size() >= options_.timeline_capacity)
-        timeline_.pop_front();
-    timeline_.push_back(std::move(line));
+        return nullptr;
+    if (timeline_.size() < options_.timeline_capacity)
+        return &timeline_.emplace_back();
+    TimelineEntry *slot = &timeline_[timeline_next_];
+    timeline_next_ = (timeline_next_ + 1) % timeline_.size();
+    return slot;
+}
+
+std::vector<std::string>
+Analyzer::timelineLines() const
+{
+    std::vector<std::string> lines;
+    lines.reserve(timeline_.size());
+    for (std::size_t i = 0; i < timeline_.size(); ++i) {
+        const TimelineEntry &entry =
+            timeline_[(timeline_next_ + i) % timeline_.size()];
+        std::ostringstream os;
+        os << formatSimTime(entry.time);
+        switch (entry.kind) {
+          case TimelineEntry::Kind::Dispatch:
+            os << " " << entry.name << " #" << entry.id;
+            if (!entry.tag.empty())
+                os << " '" << entry.tag << "'";
+            break;
+          case TimelineEntry::Kind::Barrier:
+            os << " barrier '" << entry.tag << "'";
+            break;
+          case TimelineEntry::Kind::Lifecycle:
+            os << " " << entry.name << "#" << entry.id << " "
+               << lifecycleStateName(entry.from) << " -> "
+               << lifecycleStateName(entry.to);
+            break;
+        }
+        lines.push_back(os.str());
+    }
+    return lines;
 }
 
 std::string
@@ -75,12 +105,13 @@ Analyzer::onDispatchBegin(Looper &looper, std::uint64_t msg_id,
     context_.pushDispatch(looper, msg_id, tag);
     if (options_.race_detector)
         races_.onDispatchBegin(looper, msg_id);
-    std::ostringstream os;
-    os << formatSimTime(looper.now()) << " " << looper.name() << " #"
-       << msg_id;
-    if (!tag.empty())
-        os << " '" << tag << "'";
-    noteTimeline(os.str());
+    if (TimelineEntry *entry = nextTimelineSlot()) {
+        entry->kind = TimelineEntry::Kind::Dispatch;
+        entry->time = looper.now();
+        entry->name = looper.name();
+        entry->tag = tag;
+        entry->id = msg_id;
+    }
 }
 
 void
@@ -95,9 +126,11 @@ Analyzer::onSyncBarrier(const void *scope, const char *label)
 {
     if (options_.race_detector)
         races_.onSyncBarrier(scope, label);
-    std::ostringstream os;
-    os << formatSimTime(context_.now()) << " barrier '" << label << "'";
-    noteTimeline(os.str());
+    if (TimelineEntry *entry = nextTimelineSlot()) {
+        entry->kind = TimelineEntry::Kind::Barrier;
+        entry->time = context_.now();
+        entry->tag = label;
+    }
 }
 
 void
@@ -123,11 +156,14 @@ Analyzer::onLifecycleTransition(const void *activity, const void *scope,
 {
     const auto from_state = static_cast<LifecycleState>(from);
     const auto to_state = static_cast<LifecycleState>(to);
-    std::ostringstream os;
-    os << formatSimTime(context_.now()) << " " << component << "#"
-       << instance_id << " " << lifecycleStateName(from_state) << " -> "
-       << lifecycleStateName(to_state);
-    noteTimeline(os.str());
+    if (TimelineEntry *entry = nextTimelineSlot()) {
+        entry->kind = TimelineEntry::Kind::Lifecycle;
+        entry->time = context_.now();
+        entry->name = component;
+        entry->id = instance_id;
+        entry->from = from_state;
+        entry->to = to_state;
+    }
     if (options_.lifecycle_checker)
         lifecycle_.onTransition(activity, scope, component, instance_id,
                                 from_state, to_state);

@@ -17,9 +17,10 @@
 #define RCHDROID_ANALYSIS_ANALYZER_H
 
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "analysis/execution_context.h"
 #include "analysis/lifecycle_checker.h"
@@ -87,14 +88,41 @@ class Analyzer final : public Hooks
     /** @} */
 
   private:
-    void noteTimeline(std::string line);
+    /**
+     * One timeline event, kept raw: the ring fills on every dispatch,
+     * barrier and transition, but is formatted only when a report
+     * reads it.
+     */
+    struct TimelineEntry
+    {
+        enum class Kind : std::uint8_t { Dispatch, Barrier, Lifecycle };
+
+        Kind kind = Kind::Dispatch;
+        SimTime time = 0;
+        /** Looper name (Dispatch) or component (Lifecycle). */
+        std::string name;
+        /** Message tag (Dispatch) or barrier label (Barrier). */
+        std::string tag;
+        /** Message id (Dispatch) or instance id (Lifecycle). */
+        std::uint64_t id = 0;
+        LifecycleState from = LifecycleState::Initial;
+        LifecycleState to = LifecycleState::Initial;
+    };
+
+    /** The slot the next event overwrites, or null at capacity 0. */
+    TimelineEntry *nextTimelineSlot();
+    /** The ring as report lines, oldest first. */
+    std::vector<std::string> timelineLines() const;
 
     AnalyzerOptions options_;
     ViolationSink sink_;
     ExecutionContext context_;
     RaceDetector races_;
     LifecycleChecker lifecycle_;
-    std::deque<std::string> timeline_;
+    /** Up to timeline_capacity entries; once full, the oldest is at
+     * timeline_next_. */
+    std::vector<TimelineEntry> timeline_;
+    std::size_t timeline_next_ = 0;
 };
 
 /**

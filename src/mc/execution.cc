@@ -103,11 +103,11 @@ runExecution(const ExecutionOptions &options)
                 cp.injections_left =
                     scenario.max_injections - injections_used;
                 cp.events_before = scheduler.executedEvents();
-                if (options.fingerprints) {
+                const std::size_t depth = result.choice_points.size();
+                if (options.fingerprints && depth >= options.known_states) {
                     cp.fingerprint_before = stateFingerprint(system);
                     ++result.fingerprints_computed;
                 }
-                const std::size_t depth = result.choice_points.size();
                 chosen = depth < options.schedule.size()
                              ? options.schedule[depth]
                              : 0;
@@ -131,7 +131,8 @@ runExecution(const ExecutionOptions &options)
             RCH_ASSERT(ran, "controlled event vanished before running");
         }
         ++result.steps;
-        if (!result.choice_points.empty()) {
+        if (!result.choice_points.empty() &&
+            result.choice_points.size() >= options.known_states) {
             ChoicePoint &last = result.choice_points.back();
             last.segment_footprint.insert(hooks.footprint().begin(),
                                           hooks.footprint().end());

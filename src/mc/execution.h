@@ -17,7 +17,9 @@
  * The executor records each choice point (options, state fingerprint,
  * remaining injection budget) and the looper footprint of each taken
  * segment — everything the explorer (src/mc/explorer.h) needs to drive
- * DFS, sleep sets and visited-state pruning without a second pass.
+ * DFS, sleep sets and visited-state pruning without a second pass. A
+ * branch that replays a known prefix skips that bookkeeping below its
+ * divergence point (ExecutionOptions::known_states).
  *
  * Oracles run after every step; the window stops at the first finding
  * (replays reproduce it bit-for-bit, so nothing is lost by stopping).
@@ -94,6 +96,16 @@ struct ExecutionOptions
     bool run_analysis = true;
     /** Compute state fingerprints at choice points. */
     bool fingerprints = true;
+    /**
+     * Choice points before this depth replay a prefix the caller has
+     * already executed with the same choices, so their pre-states are
+     * known (the simulator is deterministic): they get no fingerprint,
+     * and those before depth known_states - 1 (the last one takes the
+     * new choice) no segment footprint. Options, `chosen`,
+     * `events_before`, oracles and analysis still run on every step.
+     * 0 records everything.
+     */
+    std::size_t known_states = 0;
 };
 
 struct ExecutionResult

@@ -130,7 +130,11 @@ class Explorer
         eo.oracles = options_.oracles;
         eo.run_analysis = options_.run_analysis;
         eo.fingerprints = options_.reduction;
+        // The DFS reads a branch only from its divergence point on: the
+        // states before it are the spine's (see dfs()).
+        eo.known_states = schedule.size();
         ExecutionResult result = runExecution(eo);
+        report_.stats.fingerprints += result.fingerprints_computed;
         // "Replayed" = redundant prefix work: events this execution
         // re-ran up to its divergence point (the last schedule entry)
         // that an earlier execution had already performed.

@@ -48,7 +48,9 @@
  * Exploration pays one execution per explored branch: one execution
  * serves as the "spine" for the whole default-continuation of its
  * prefix. Each branch is a full replay from the root via
- * runExecution().
+ * runExecution(), which fingerprints and records footprints only from
+ * the branch's divergence point on: the DFS already holds the prefix's
+ * from the spine (DESIGN.md §11).
  */
 #ifndef RCHDROID_MC_EXPLORER_H
 #define RCHDROID_MC_EXPLORER_H
@@ -107,6 +109,8 @@ struct ExplorerStats
     /** Redundant prefix events re-executed to reach branch divergence
      * points — the cost of replay-from-root. */
     std::uint64_t events_replayed = 0;
+    /** State fingerprints computed, summed over executions. */
+    std::uint64_t fingerprints = 0;
 };
 
 struct ExplorerReport

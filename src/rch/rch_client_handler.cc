@@ -145,8 +145,16 @@ void
 RchClientHandler::performFlip(ActivityThread &thread, const LaunchArgs &args)
 {
     auto incoming = thread.activityForToken(args.token);
+    if (!incoming) {
+        // A GC tick reclaimed the shadow the ATMS picked while this
+        // launch was in flight (the ATMS ignores the late reclaim: the
+        // record is sunny by then). Create the instance afresh from the
+        // outgoing shadow, as if there had been no shadow to flip to.
+        performInitLaunch(thread, args);
+        return;
+    }
     auto outgoing = thread.activityForToken(args.shadowed_token);
-    RCH_ASSERT(incoming && incoming->isShadow(),
+    RCH_ASSERT(incoming->isShadow(),
                "flip target is not a shadow instance");
     RCH_ASSERT(outgoing, "flip source instance missing");
     ++stats_.flips;

@@ -103,6 +103,32 @@ TEST(GcIntegration, ChangeAfterCollectionTakesInitPathAgain)
     EXPECT_EQ(system.atms().starterStats().sunny_creates, 2u);
 }
 
+TEST(GcIntegration, TickReclaimingTheFlipTargetFallsBackToInitLaunch)
+{
+    // Default GC tuning. The second change lands just as the first
+    // shadow ages past THRESH_T: the ATMS picks that shadow for a coin
+    // flip, and a GC tick collects it before the flip reaches the app.
+    SystemOptions options;
+    options.mode = RuntimeChangeMode::RchDroid;
+    AndroidSystem system(options);
+    const auto spec = apps::makeBenchmarkApp(4);
+    system.install(spec);
+    system.launch(spec);
+    system.applyUserState(spec);
+    system.rotate();
+    ASSERT_TRUE(system.waitHandlingComplete());
+    system.runFor(milliseconds(49'840));
+
+    system.rotate();
+    ASSERT_TRUE(system.waitHandlingComplete());
+    const auto &stats = system.installed(spec).handler->stats();
+    EXPECT_EQ(stats.gc_collections, 1u);
+    EXPECT_EQ(stats.flips, 0u);
+    EXPECT_EQ(stats.init_launches, 2u);
+    EXPECT_EQ(system.atms().starterStats().coin_flips, 1u);
+    EXPECT_TRUE(system.verifyCriticalState(spec).preserved);
+}
+
 TEST(GcIntegration, AggressiveGcNeverBreaksCorrectness)
 {
     // THRESH_T = 0 and no frequency gate: collect at every tick. State

@@ -3,10 +3,13 @@
 
 Every case must fail cleanly: exit code 2 (usage / input error), a
 message on stderr that names the bad flag or input, and no death on a
-signal. Runs with the standard library only; CTest passes the built
+signal. The shell is the exception: a bad command argument is a command
+error, so the session goes on, prints an `error:` line on stdout and
+exits 1. Runs with the standard library only; CTest passes the built
 binaries' paths:
 
-  python3 tests/tools/test_cli_bad_input.py RCHDROID_MC RCHDROID_PROFILE
+  python3 tests/tools/test_cli_bad_input.py RCHDROID_MC RCHDROID_PROFILE \
+      RCHDROID_SHELL RCHDROID_SA
 """
 
 import os
@@ -17,20 +20,26 @@ import unittest
 
 RCHDROID_MC = None
 RCHDROID_PROFILE = None
+RCHDROID_SHELL = None
+RCHDROID_SA = None
 
 
 class CliCase(unittest.TestCase):
-    def assert_rejected(self, argv, message):
-        """Run argv; it must exit 2 with `message` on stderr."""
+    def run_checked(self, argv, expected_code, stdin=None):
+        """Run argv; it must exit `expected_code`, not die on a signal."""
         proc = subprocess.run(argv, capture_output=True, text=True,
-                              timeout=120)
+                              input=stdin, timeout=120)
         self.assertGreaterEqual(
             proc.returncode, 0,
             f"{argv} died on signal {-proc.returncode}")
-        self.assertEqual(proc.returncode, 2,
+        self.assertEqual(proc.returncode, expected_code,
                          f"{argv}: stdout={proc.stdout!r} "
                          f"stderr={proc.stderr!r}")
-        self.assertIn(message, proc.stderr)
+        return proc
+
+    def assert_rejected(self, argv, message):
+        """Run argv; it must exit 2 with `message` on stderr."""
+        self.assertIn(message, self.run_checked(argv, 2).stderr)
 
 
 class RchdroidMcTest(CliCase):
@@ -82,8 +91,63 @@ class RchdroidProfileTest(CliCase):
                              '--top: expected an integer')
 
 
+class RchdroidShellTest(CliCase):
+    def reject(self, command, message, effect):
+        """`command` must fail with `message` and not do `effect`."""
+        script = f"install benchmark 4\nlaunch\n{command}\nquit\n"
+        proc = self.run_checked([RCHDROID_SHELL], 1, stdin=script)
+        _, _, output = proc.stdout.partition("launched ")
+        errors = [line for line in output.splitlines()
+                  if line.startswith("error: ")]
+        self.assertEqual(len(errors), 1, output)
+        self.assertIn(message, errors[0])
+        self.assertNotIn(effect, output)
+
+    def test_wm_size_is_strict(self):
+        # Both used to resize: to 0x0 and to -100x50.
+        self.reject("wm size abc def",
+                    'wm size width: expected an integer in [1, 16384], '
+                    'got "abc"', "resized")
+        self.reject("wm size -100 50", 'got "-100"', "resized")
+        self.reject("wm size 1080", 'wm size height: expected an integer',
+                    "resized")
+
+    def test_wait_is_strict(self):
+        self.reject("wait -5", 'wait: expected an integer in [0, 86400000], '
+                    'got "-5"', "now ")
+        self.reject("wait", 'wait: expected an integer', "now ")
+
+    def test_benchmark_view_count_is_strict(self):
+        # "x4" used to install Benchmark0.
+        self.reject("install benchmark x4",
+                    'install benchmark: expected an integer in [0, 4096], '
+                    'got "x4"', "installed")
+        self.reject("install benchmark 5000", 'got "5000"', "installed")
+        self.reject("install benchmark", 'install benchmark: expected',
+                    "installed")
+
+    def test_locale_needs_a_tag(self):
+        # Used to switch to an empty locale.
+        self.reject("locale", "locale: missing <tag>", "handling")
+
+
+class RchdroidSaTest(CliCase):
+    def test_unknown_flag(self):
+        self.assert_rejected([RCHDROID_SA, "--frobnicate"],
+                             "unknown flag: --frobnicate")
+
+    def test_flag_without_value(self):
+        self.assert_rejected([RCHDROID_SA, "--app"], "--app needs a value")
+        self.assert_rejected([RCHDROID_SA, "--out"], "--out needs a value")
+
+    def test_unknown_app(self):
+        self.assert_rejected([RCHDROID_SA, "--app", "nosuch"],
+                             "unknown app 'nosuch'")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) < 3:
+    if len(sys.argv) < 5:
         sys.exit(__doc__)
-    RCHDROID_MC, RCHDROID_PROFILE = sys.argv[1], sys.argv[2]
-    unittest.main(argv=[sys.argv[0]] + sys.argv[3:])
+    RCHDROID_MC, RCHDROID_PROFILE, RCHDROID_SHELL, RCHDROID_SA = \
+        sys.argv[1:5]
+    unittest.main(argv=[sys.argv[0]] + sys.argv[5:])

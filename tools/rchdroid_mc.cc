@@ -24,8 +24,9 @@
  *                     unguided DPOR; the guided-vs-unguided CI gate
  *                     compares this against the default)
  *   --json            machine-readable per-scenario report (stats incl.
- *                     sleep_skips / visited hits / mhp prunes + wall
- *                     time) on stdout instead of the text summary
+ *                     sleep_skips / visited hits / mhp prunes /
+ *                     fingerprints + wall time) on stdout instead of
+ *                     the text summary
  *   --no-analysis     skip the PR-1 analyzer (faster, fewer oracles)
  *   --no-minimize     report the raw counterexample unminimized
  *   --replay=i,j,k    run ONE schedule instead of exploring; entry k
@@ -260,6 +261,7 @@ reportJson(const Flags &flags, const mc::Scenario &scenario,
            std::to_string(stats.mhp_sleep_keeps);
     out += ", \"events_replayed\": " +
            std::to_string(stats.events_replayed);
+    out += ", \"fingerprints\": " + std::to_string(stats.fingerprints);
     out += ", \"truncated\": ";
     out += stats.truncated ? "true" : "false";
     char buf[40];

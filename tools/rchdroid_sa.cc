@@ -77,20 +77,31 @@ main(int argc, char **argv)
     bool json_stdout = false;
     bool list_findings = false;
 
+    const char *usage = "usage: rchdroid_sa [--json] [--findings] "
+                        "[--out FILE] [--app NAME]\n";
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, "--json") == 0) {
             json_stdout = true;
         } else if (std::strcmp(arg, "--findings") == 0) {
             list_findings = true;
-        } else if (std::strcmp(arg, "--out") == 0 && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (std::strcmp(arg, "--app") == 0 && i + 1 < argc) {
-            app_name = argv[++i];
+        } else if (std::strcmp(arg, "--out") == 0 ||
+                   std::strcmp(arg, "--app") == 0) {
+            if (i + 1 >= argc) {
+                std::cerr << "rchdroid_sa: " << arg << " needs a value\n"
+                          << usage;
+                return 2;
+            }
+            std::string &value =
+                std::strcmp(arg, "--out") == 0 ? out_path : app_name;
+            value = argv[++i];
+        } else if (std::strcmp(arg, "--help") == 0) {
+            std::cerr << usage;
+            return 0;
         } else {
-            std::cerr << "usage: rchdroid_sa [--json] [--findings] "
-                         "[--out FILE] [--app NAME]\n";
-            return std::strcmp(arg, "--help") == 0 ? 0 : 2;
+            std::cerr << "rchdroid_sa: unknown flag: " << arg << "\n"
+                      << usage;
+            return 2;
         }
     }
 

@@ -37,7 +37,12 @@
  *
  * With --trace-out=FILE the whole session is recorded as a Chrome
  * trace-event JSON (open in Perfetto / chrome://tracing).
+ *
+ * A missing, non-numeric or out-of-range argument is a command error:
+ * the shell prints an `error:` line naming the command and the bad
+ * text, skips the command, and exits 1 at the end of the session.
  */
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -48,12 +53,35 @@
 
 #include "analysis/analyzer.h"
 #include "platform/metrics.h"
+#include "platform/strings.h"
 #include "platform/tracing.h"
 #include "sim/android_system.h"
 #include "sim/dumpsys.h"
 
 namespace rchdroid::tools {
 namespace {
+
+/** Argument bounds: wider than any real panel, bench app or session. */
+constexpr std::int64_t kMaxBenchmarkViews = 4096;
+constexpr std::int64_t kMaxScreenPx = 16384;
+constexpr std::int64_t kMaxWaitMs = 86'400'000; // one virtual day
+
+/**
+ * Parse a command argument as an integer in [min, max]; on a missing or
+ * bad value print an `error:` line starting with `what` and return
+ * nullopt.
+ */
+std::optional<std::int64_t>
+integerArg(const std::string &text, const char *what, std::int64_t min,
+           std::int64_t max)
+{
+    const Result<std::int64_t> parsed = parseInteger(text, min, max, what);
+    if (!parsed) {
+        std::printf("error: %s\n", parsed.status().message().c_str());
+        return std::nullopt;
+    }
+    return parsed.value();
+}
 
 /** The shell's mutable state. */
 struct ShellState
@@ -99,12 +127,11 @@ handleInstall(ShellState &state, std::istringstream &args)
     args >> kind >> selector;
     std::optional<apps::AppSpec> spec;
     if (kind == "benchmark") {
-        const int views = selector.empty() ? 4 : std::atoi(selector.c_str());
-        if (views < 0) {
-            std::printf("error: bad view count\n");
+        const auto views = integerArg(selector, "install benchmark", 0,
+                                      kMaxBenchmarkViews);
+        if (!views)
             return false;
-        }
-        spec = apps::makeBenchmarkApp(views);
+        spec = apps::makeBenchmarkApp(static_cast<int>(*views));
     } else if (kind == "tp37") {
         spec = findInCorpus(apps::tp37(), selector);
     } else if (kind == "top100") {
@@ -187,21 +214,36 @@ execute(ShellState &state, const std::string &line)
         if (w == "reset") {
             device.wmSizeReset();
         } else {
-            device.wmSize(std::atoi(w.c_str()), std::atoi(h.c_str()));
+            const auto width = integerArg(w, "wm size width", 1, kMaxScreenPx);
+            if (!width)
+                return false;
+            const auto height =
+                integerArg(h, "wm size height", 1, kMaxScreenPx);
+            if (!height)
+                return false;
+            device.wmSize(static_cast<int>(*width),
+                          static_cast<int>(*height));
         }
         device.waitHandlingComplete();
         std::printf("resized; handling %.1f ms\n", device.lastHandlingMs());
     } else if (command == "locale") {
         std::string tag;
         args >> tag;
+        if (tag.empty()) {
+            std::printf("error: locale: missing <tag>\n");
+            return false;
+        }
         device.setLocale(tag);
         device.waitHandlingComplete();
         std::printf("locale %s; handling %.1f ms\n", tag.c_str(),
                     device.lastHandlingMs());
     } else if (command == "wait") {
-        long ms = 0;
-        args >> ms;
-        device.runFor(milliseconds(ms));
+        std::string text;
+        args >> text;
+        const auto ms = integerArg(text, "wait", 0, kMaxWaitMs);
+        if (!ms)
+            return false;
+        device.runFor(milliseconds(*ms));
         std::printf("now %s\n",
                     formatSimTime(device.scheduler().now()).c_str());
     } else if (command == "handling") {
