@@ -11,11 +11,14 @@
  * analysis::CheckMode), installs a MetricsRegistry for the whole run,
  * and installs a Tracer only when a trace was requested — with no flags
  * the instrumented framework pays the registry branch and nothing else.
+ * Construct it after CheckMode: it is the last to read argv, so it
+ * rejects what is left over, and an empty file name, with exit code 2.
  */
 #ifndef RCHDROID_EXAMPLES_OBSERVABILITY_H
 #define RCHDROID_EXAMPLES_OBSERVABILITY_H
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
@@ -29,17 +32,19 @@ namespace rchdroid::examples {
 class ObservabilityFlags
 {
   public:
-    /** Scans argv for the flags above and removes them. */
+    /**
+     * Scans argv for the flags above and removes them; exits 2 on an
+     * empty file name or any other argument.
+     */
     ObservabilityFlags(int &argc, char **argv)
     {
         int kept = 1;
         for (int i = 1; i < argc; ++i) {
             const std::string arg = argv[i];
             if (arg.rfind("--trace-out=", 0) == 0) {
-                trace_path_ = arg.substr(std::string("--trace-out=").size());
+                trace_path_ = pathValue(arg, "--trace-out");
             } else if (arg.rfind("--metrics-json=", 0) == 0) {
-                metrics_path_ =
-                    arg.substr(std::string("--metrics-json=").size());
+                metrics_path_ = pathValue(arg, "--metrics-json");
             } else if (arg == "--dumpsys") {
                 dumpsys_ = true;
             } else {
@@ -47,6 +52,8 @@ class ObservabilityFlags
             }
         }
         argc = kept;
+        if (argc > 1)
+            usageError("unknown flag: " + std::string(argv[1]));
         registry_guard_.emplace(&registry_);
         if (!trace_path_.empty()) {
             tracer_ = std::make_unique<trace::Tracer>();
@@ -109,6 +116,23 @@ class ObservabilityFlags
     bool dumpsysRequested() const { return dumpsys_; }
 
   private:
+    [[noreturn]] static void
+    usageError(const std::string &message)
+    {
+        std::fprintf(stderr, "%s\n", message.c_str());
+        std::exit(2);
+    }
+
+    /** The file name of `--flag=FILE`; an empty one is a usage error. */
+    static std::string
+    pathValue(const std::string &arg, const std::string &flag)
+    {
+        std::string path = arg.substr(flag.size() + 1);
+        if (path.empty())
+            usageError(flag + " needs a file name");
+        return path;
+    }
+
     std::string trace_path_;
     std::string metrics_path_;
     bool dumpsys_ = false;

@@ -42,18 +42,18 @@ ResourceManager::loadDrawable(ResourceId id, const Configuration &config)
     return Loaded<DrawableValue>{std::move(resolved).value(), cost};
 }
 
-Result<Loaded<LayoutValue>>
+Result<Loaded<const LayoutValue *>>
 ResourceManager::loadLayout(ResourceId id, const Configuration &config)
 {
     auto resolved = table_->resolveLayout(id, config);
     if (!resolved)
         return resolved.status();
-    const int nodes = resolved.value().root.countNodes();
+    const int nodes = resolved.value()->root.countNodes();
     const SimDuration cost =
         cost_model_.lookup_cost + cost_model_.layout_per_node * nodes;
     ++stats_.layout_loads;
     stats_.total_cost += cost;
-    return Loaded<LayoutValue>{std::move(resolved).value(), cost};
+    return Loaded<const LayoutValue *>{resolved.value(), cost};
 }
 
 Result<Loaded<DimensionValue>>

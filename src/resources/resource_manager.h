@@ -80,8 +80,9 @@ class ResourceManager
                                            const Configuration &config);
     Result<Loaded<DrawableValue>> loadDrawable(ResourceId id,
                                                const Configuration &config);
-    Result<Loaded<LayoutValue>> loadLayout(ResourceId id,
-                                           const Configuration &config);
+    /** The table's own variant, not a copy (see resolveLayout). */
+    Result<Loaded<const LayoutValue *>> loadLayout(
+        ResourceId id, const Configuration &config);
     Result<Loaded<DimensionValue>> loadDimension(ResourceId id,
                                                  const Configuration &config);
     /** @} */

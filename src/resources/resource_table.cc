@@ -111,7 +111,7 @@ ResourceTable::add(EntrySet<T> &set, ResourceType type,
 }
 
 template <typename T>
-Result<T>
+Result<const T *>
 ResourceTable::resolve(const EntrySet<T> &set, ResourceId id,
                        const Configuration &config) const
 {
@@ -131,8 +131,21 @@ ResourceTable::resolve(const EntrySet<T> &set, ResourceId id,
         return Status::notFound("no variant matches config " +
                                 config.toString());
     }
-    return best->value;
+    return &best->value;
 }
+
+namespace {
+
+template <typename T>
+Result<T>
+copyOf(const Result<const T *> &found)
+{
+    if (!found)
+        return found.status();
+    return *found.value();
+}
+
+} // namespace
 
 ResourceId
 ResourceTable::addString(const std::string &name, ResourceQualifier qual,
@@ -186,17 +199,17 @@ ResourceTable::idForName(ResourceType type, const std::string &name) const
 Result<StringValue>
 ResourceTable::resolveString(ResourceId id, const Configuration &config) const
 {
-    return resolve(strings_, id, config);
+    return copyOf(resolve(strings_, id, config));
 }
 
 Result<DrawableValue>
 ResourceTable::resolveDrawable(ResourceId id,
                                const Configuration &config) const
 {
-    return resolve(drawables_, id, config);
+    return copyOf(resolve(drawables_, id, config));
 }
 
-Result<LayoutValue>
+Result<const LayoutValue *>
 ResourceTable::resolveLayout(ResourceId id, const Configuration &config) const
 {
     return resolve(layouts_, id, config);
@@ -206,7 +219,7 @@ Result<DimensionValue>
 ResourceTable::resolveDimension(ResourceId id,
                                 const Configuration &config) const
 {
-    return resolve(dimensions_, id, config);
+    return copyOf(resolve(dimensions_, id, config));
 }
 
 std::size_t

@@ -157,14 +157,17 @@ class ResourceTable
     /** @name Resolution under a configuration
      * Picks the most specific matching variant; NotFound when no variant
      * matches (an app bug Android would surface as Resources$NotFound).
+     * A layout is handed out in place, not copied: the pointer stays
+     * valid while the table lives, since a table is not changed once an
+     * app is installed with it.
      * @{
      */
     Result<StringValue> resolveString(ResourceId id,
                                       const Configuration &config) const;
     Result<DrawableValue> resolveDrawable(ResourceId id,
                                           const Configuration &config) const;
-    Result<LayoutValue> resolveLayout(ResourceId id,
-                                      const Configuration &config) const;
+    Result<const LayoutValue *> resolveLayout(
+        ResourceId id, const Configuration &config) const;
     Result<DimensionValue> resolveDimension(ResourceId id,
                                             const Configuration &config) const;
     /** @} */
@@ -193,8 +196,8 @@ class ResourceTable
                    const std::string &name, ResourceQualifier qual, T value);
 
     template <typename T>
-    Result<T> resolve(const EntrySet<T> &set, ResourceId id,
-                      const Configuration &config) const;
+    Result<const T *> resolve(const EntrySet<T> &set, ResourceId id,
+                              const Configuration &config) const;
 
     EntrySet<StringValue> strings_;
     EntrySet<DrawableValue> drawables_;

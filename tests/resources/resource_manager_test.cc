@@ -64,6 +64,11 @@ TEST_F(ManagerFixture, LayoutCostScalesWithNodes)
     ASSERT_TRUE(loaded.isOk());
     // 5 nodes → 10 + 50*5 = 260 us.
     EXPECT_EQ(loaded.value().cost, microseconds(260));
+    // The table's own variant, not a copy: every load charges and counts.
+    const auto again = manager->loadLayout(layout_id, config);
+    ASSERT_TRUE(again.isOk());
+    EXPECT_EQ(again.value().value, loaded.value().value);
+    EXPECT_EQ(manager->stats().layout_loads, 2u);
 }
 
 TEST_F(ManagerFixture, DimensionCost)

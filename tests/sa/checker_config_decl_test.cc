@@ -112,8 +112,9 @@ TEST(ConfigDeclChecker, FindingsAreNeverDynamicallyCheckable)
     spec.expect_issue_stock = true;
     const AppVerdict verdict = analyzeApp(spec);
     for (const Finding &finding : verdict.findings) {
-        if (finding.checker == "config_decl")
+        if (finding.checker == "config_decl") {
             EXPECT_FALSE(finding.dynamically_checkable);
+        }
     }
 }
 

@@ -104,8 +104,9 @@ TEST(StaleReferenceChecker, RchNeverPredictsTheCrash)
             spec.async.shows_dialog = dialog;
             const AppVerdict verdict = analyzeApp(spec);
             for (const Finding &finding : verdict.findings) {
-                if (finding.checker == "stale_reference")
+                if (finding.checker == "stale_reference") {
                     EXPECT_EQ(finding.handling, HandlingModel::Stock);
+                }
             }
             EXPECT_FALSE(verdict.rch.crash_predicted);
         }

@@ -133,8 +133,9 @@ TEST(Mhp, RandomizedAgainstReferenceDfs)
                     << "trial " << trial << " " << a << "->" << b;
                 // mhp is symmetric and irreflexive by definition.
                 EXPECT_EQ(mhp.mhp(a, b), mhp.mhp(b, a));
-                if (a == b)
+                if (a == b) {
                     EXPECT_FALSE(mhp.mhp(a, b));
+                }
                 EXPECT_NE(mhp.mhp(a, b), mhp.ordered(a, b));
             }
         }

@@ -5,11 +5,12 @@ Every case must fail cleanly: exit code 2 (usage / input error), a
 message on stderr that names the bad flag or input, and no death on a
 signal. The shell is the exception: a bad command argument is a command
 error, so the session goes on, prints an `error:` line on stdout and
-exits 1. Runs with the standard library only; CTest passes the built
-binaries' paths:
+exits 1. The examples share their flag parsing (examples/observability.h),
+so quickstart stands for all five. Runs with the standard library only;
+CTest passes the built binaries' paths:
 
   python3 tests/tools/test_cli_bad_input.py RCHDROID_MC RCHDROID_PROFILE \
-      RCHDROID_SHELL RCHDROID_SA
+      RCHDROID_SHELL RCHDROID_SA QUICKSTART
 """
 
 import os
@@ -22,6 +23,7 @@ RCHDROID_MC = None
 RCHDROID_PROFILE = None
 RCHDROID_SHELL = None
 RCHDROID_SA = None
+QUICKSTART = None
 
 
 class CliCase(unittest.TestCase):
@@ -145,9 +147,32 @@ class RchdroidSaTest(CliCase):
                              "unknown app 'nosuch'")
 
 
+class ExampleTest(CliCase):
+    def test_unknown_flag(self):
+        # Each used to run the whole example and exit 0.
+        self.assert_rejected([QUICKSTART, "--bogus"], "unknown flag: --bogus")
+        self.assert_rejected([QUICKSTART, "--check", "--bogus"],
+                             "unknown flag: --bogus")
+        self.assert_rejected([QUICKSTART, "stray"], "unknown flag: stray")
+
+    def test_empty_file_name(self):
+        self.assert_rejected([QUICKSTART, "--trace-out="],
+                             "--trace-out needs a file name")
+        self.assert_rejected([QUICKSTART, "--metrics-json="],
+                             "--metrics-json needs a file name")
+
+    def test_flag_value_needs_an_equals_sign(self):
+        # Used to exit 0 without writing the trace.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.json")
+            self.assert_rejected([QUICKSTART, "--trace-out", path],
+                                 "unknown flag: --trace-out")
+            self.assertFalse(os.path.exists(path))
+
+
 if __name__ == "__main__":
-    if len(sys.argv) < 5:
+    if len(sys.argv) < 6:
         sys.exit(__doc__)
-    RCHDROID_MC, RCHDROID_PROFILE, RCHDROID_SHELL, RCHDROID_SA = \
-        sys.argv[1:5]
-    unittest.main(argv=[sys.argv[0]] + sys.argv[5:])
+    RCHDROID_MC, RCHDROID_PROFILE, RCHDROID_SHELL, RCHDROID_SA, QUICKSTART = \
+        sys.argv[1:6]
+    unittest.main(argv=[sys.argv[0]] + sys.argv[6:])

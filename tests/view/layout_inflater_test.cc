@@ -1,7 +1,8 @@
 /**
  * @file
  * LayoutInflater: element construction, resource references, cost
- * accounting, custom factories.
+ * accounting, custom factories, and repeat inflates of a compiled
+ * layout.
  */
 #include <gtest/gtest.h>
 
@@ -205,6 +206,154 @@ TEST_F(InflaterFixture, CustomFactoryBuildsUserDefinedView)
     EXPECT_STREQ(result.value().value->typeName(), "CustomCard");
     // Still carries the Text migration class (basic-type migration).
     EXPECT_EQ(result.value().value->migrationClass(), MigrationClass::Text);
+}
+
+/** A fixture table's layout holding one element with `attrs`. */
+ResourceId
+addSingleElementLayout(ResourceTable &table, const std::string &name,
+                       const std::string &element,
+                       std::map<std::string, std::string> attrs)
+{
+    LayoutNode root;
+    root.element = "FrameLayout";
+    root.attrs = {{"id", "frame"}};
+    LayoutNode child;
+    child.element = element;
+    child.attrs = std::move(attrs);
+    root.children = {child};
+    return table.addLayout(name, ResourceQualifier::any(), LayoutValue{root});
+}
+
+struct LateInflaterFixture : ::testing::Test
+{
+    LateInflaterFixture()
+    {
+        auto table = std::make_shared<ResourceTable>();
+        table->addString("hello", ResourceQualifier::any(),
+                         StringValue{"Hello"});
+        card = addSingleElementLayout(
+            *table, "card", "Card", {{"id", "c"}, {"text", "@string/hello"}});
+        unknown = addSingleElementLayout(*table, "unknown", "FancyWidget",
+                                         {{"id", "f"}});
+        missing = addSingleElementLayout(
+            *table, "missing", "TextView",
+            {{"id", "t"}, {"text", "@string/nope"}});
+        missing_drawable = addSingleElementLayout(
+            *table, "missing_drawable", "ImageView",
+            {{"id", "i"}, {"src", "@drawable/gone"}});
+        ResourceCostModel costs;
+        costs.lookup_cost = microseconds(10);
+        resources.emplace(std::move(table), costs);
+        inflater.emplace(*resources, microseconds(100));
+    }
+
+    ResourceId card = 0, unknown = 0, missing = 0, missing_drawable = 0;
+    std::optional<ResourceManager> resources;
+    std::optional<LayoutInflater> inflater;
+    Configuration config = Configuration::defaultPortrait();
+};
+
+TEST_F(LateInflaterFixture, FactoryRegisteredAfterFirstInflateIsUsed)
+{
+    auto before = inflater->inflate(card, config);
+    ASSERT_FALSE(before.isOk());
+    EXPECT_EQ(before.status().toString(),
+              "NotFound: unknown layout element Card");
+
+    std::string seen_text;
+    ASSERT_TRUE(inflater->registerFactory(
+        "Card", [&](const std::string &id, const auto &attrs) {
+            seen_text = attrs.at("text");
+            return std::make_unique<Button>(id);
+        }));
+    auto after = inflater->inflate(card, config);
+    ASSERT_TRUE(after.isOk()) << after.status().toString();
+    View *built = after.value().value->findViewById("c");
+    ASSERT_NE(built, nullptr);
+    EXPECT_STREQ(built->typeName(), "Button");
+    // The factory sees the raw attrs; the inflater resolves nothing.
+    EXPECT_EQ(seen_text, "@string/hello");
+    EXPECT_EQ(resources->stats().string_loads, 0u);
+
+    // A replacement factory takes over on the next inflate too.
+    ASSERT_TRUE(inflater->registerFactory(
+        "Card", [](const std::string &id, const auto &) {
+            return std::make_unique<EditText>(id);
+        }));
+    auto replaced = inflater->inflate(card, config);
+    ASSERT_TRUE(replaced.isOk());
+    EXPECT_STREQ(replaced.value().value->findViewById("c")->typeName(),
+                 "EditText");
+}
+
+TEST_F(LateInflaterFixture, FailuresRepeatOnEveryInflate)
+{
+    for (int round = 0; round < 3; ++round) {
+        const ResourceLoadStats before = resources->stats();
+        auto bad_element = inflater->inflate(unknown, config);
+        ASSERT_FALSE(bad_element.isOk());
+        EXPECT_EQ(bad_element.status().toString(),
+                  "NotFound: unknown layout element FancyWidget");
+        auto bad_string = inflater->inflate(missing, config);
+        ASSERT_FALSE(bad_string.isOk());
+        EXPECT_EQ(bad_string.status().toString(),
+                  "NotFound: no resource named nope");
+        auto bad_drawable = inflater->inflate(missing_drawable, config);
+        ASSERT_FALSE(bad_drawable.isOk());
+        EXPECT_EQ(bad_drawable.status().toString(),
+                  "NotFound: no resource named gone");
+        // Each failing inflate still loaded (and counted) its layout.
+        EXPECT_EQ(resources->stats().layout_loads - before.layout_loads, 3u);
+        EXPECT_EQ(resources->stats().string_loads, before.string_loads);
+    }
+}
+
+TEST_F(InflaterFixture, InflateNodeBuildsEachTreeItIsGiven)
+{
+    LayoutNode node;
+    node.element = "LinearLayout";
+    node.attrs = {{"id", "a"}, {"orientation", "horizontal"}};
+    LayoutNode text;
+    text.element = "TextView";
+    text.attrs = {{"id", "a_text"}, {"text", "@string/hello"}};
+    node.children = {text};
+    auto first = inflater->inflateNode(node, config);
+    ASSERT_TRUE(first.isOk());
+
+    // Same storage, different tree: nothing may be reused from the first.
+    node.element = "FrameLayout";
+    node.attrs = {{"id", "b"}};
+    LayoutNode list;
+    list.element = "ListView";
+    list.attrs = {{"id", "b_list"}, {"items", "x|y"}};
+    node.children = {list, text};
+    auto second = inflater->inflateNode(node, config.withLocale("fr-FR"));
+    ASSERT_TRUE(second.isOk());
+
+    const View &a = *first.value().value;
+    EXPECT_STREQ(a.typeName(), "LinearLayout");
+    EXPECT_EQ(dynamic_cast<const LinearLayout &>(a).direction(),
+              LinearLayout::Direction::Horizontal);
+    EXPECT_EQ(dynamic_cast<const ViewGroup &>(a).childCount(), 1u);
+    auto *a_text =
+        dynamic_cast<TextView *>(first.value().value->findViewById("a_text"));
+    ASSERT_NE(a_text, nullptr);
+    EXPECT_EQ(a_text->text(), "Hello");
+    EXPECT_TRUE(a_text->isTextFromResource());
+
+    View &b = *second.value().value;
+    EXPECT_STREQ(b.typeName(), "FrameLayout");
+    EXPECT_EQ(b.id(), "b");
+    ASSERT_EQ(dynamic_cast<ViewGroup &>(b).childCount(), 2u);
+    auto *b_list = dynamic_cast<ListView *>(b.findViewById("b_list"));
+    ASSERT_NE(b_list, nullptr);
+    EXPECT_EQ(b_list->items(), (std::vector<std::string>{"x", "y"}));
+    auto *b_text = dynamic_cast<TextView *>(b.findViewById("a_text"));
+    ASSERT_NE(b_text, nullptr);
+    EXPECT_EQ(b_text->text(), "Bonjour");
+    // 2 + 3 nodes at 100 us, one string load (10 us) per tree.
+    EXPECT_EQ(first.value().cost, microseconds(2 * 100 + 10));
+    EXPECT_EQ(second.value().cost, microseconds(3 * 100 + 10));
 }
 
 TEST_F(InflaterFixture, CannotOverrideBuiltins)
