@@ -1,32 +1,40 @@
 /**
  * @file
  * Model-checker throughput benchmark across the whole scenario
- * catalogue.
+ * catalogue and a fixed corpus sample.
  *
- * Every scenario is explored once with rchdroid_mc's defaults (the
- * scenario's MHP independence spec, analysis on, all oracles) and
- * reported with executions/s and schedules/s plus the deterministic
- * exploration counters. Results land in a JSON file (--out=PATH,
- * default BENCH_mc.json) that the CI perf-smoke job archives and
- * compares against bench/BENCH_mc.baseline.json via tools/compare_mc.py:
- * the counters gate hard, wall-clock numbers are advisory on shared
- * runners.
+ * Every catalogue scenario is explored once with rchdroid_mc's defaults
+ * (the scenario's MHP independence spec, analysis on, all oracles),
+ * then every kCorpusStride-th app of sa::fullCorpus() in both handling
+ * modes (makeAppScenario, expect_clean from sa::analyzeApp). Each row
+ * reports executions/s and schedules/s plus the deterministic
+ * exploration counters; corpus rows are keyed "app:<Name>/<mode>".
+ * Results land in a JSON file (--out=PATH, default BENCH_mc.json) that
+ * the CI perf-smoke job archives and compares against
+ * bench/BENCH_mc.baseline.json via tools/compare_mc.py: the counters
+ * gate hard, wall-clock numbers are advisory on shared runners.
  */
 #include <chrono>
 #include <climits>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
+#include "mc/app_scenario.h"
 #include "mc/explorer.h"
 #include "mc/scenario.h"
 #include "platform/strings.h"
+#include "sa/sweep.h"
 
 namespace {
 
 using rchdroid::mc::ExplorerOptions;
 using rchdroid::mc::ExplorerStats;
 using rchdroid::mc::Scenario;
+
+/** The corpus leg explores apps 0, kCorpusStride, 2 * kCorpusStride, ... */
+constexpr std::size_t kCorpusStride = 11;
 
 double
 perSecond(std::uint64_t count, double wall_ms)
@@ -82,9 +90,8 @@ main(int argc, char **argv)
     double total_ms = 0.0;
     std::uint64_t total_executions = 0;
     std::uint64_t total_schedules = 0;
-    const auto &catalogue = rchdroid::mc::scenarioCatalog();
-    for (std::size_t s = 0; s < catalogue.size(); ++s) {
-        const Scenario &scenario = catalogue[s];
+    bool first_row = true;
+    const auto run = [&](const std::string &name, const Scenario &scenario) {
         ExplorerOptions options;
         options.scenario = &scenario;
         options.max_depth = depth;
@@ -102,32 +109,54 @@ main(int argc, char **argv)
 
         std::printf("%-16s schedules %llu  exec %llu  replayed %llu  "
                     "violations %zu  wall %.1f ms  %.0f exec/s\n",
-                    scenario.name.c_str(), ull(stats.schedules_covered),
+                    name.c_str(), ull(stats.schedules_covered),
                     ull(stats.executions), ull(stats.events_replayed),
                     report.violations.size(), wall_ms,
                     perSecond(stats.executions, wall_ms));
         std::fprintf(
             out,
-            "  \"%s\": {\"schedules_covered\": %llu, \"executions\": %llu, "
+            "%s  \"%s\": {\"schedules_covered\": %llu, \"executions\": %llu, "
             "\"choice_points\": %llu, \"distinct_states\": %llu, "
             "\"visited_hits\": %llu, \"sleep_skips\": %llu, "
             "\"mhp_prunes\": %llu, \"mhp_sleep_keeps\": %llu, "
             "\"events_replayed\": %llu, \"truncated\": %s, "
             "\"violations\": %zu, \"wall_ms\": %.3f, "
-            "\"executions_per_sec\": %.1f, \"schedules_per_sec\": %.1f}%s\n",
-            scenario.name.c_str(), ull(stats.schedules_covered),
-            ull(stats.executions), ull(stats.nodes),
-            ull(stats.distinct_states), ull(stats.visited_hits),
-            ull(stats.sleep_skips), ull(stats.mhp_prunes),
-            ull(stats.mhp_sleep_keeps), ull(stats.events_replayed),
-            stats.truncated ? "true" : "false", report.violations.size(),
-            wall_ms, perSecond(stats.executions, wall_ms),
-            perSecond(stats.schedules_covered, wall_ms),
-            s + 1 < catalogue.size() ? "," : "");
+            "\"executions_per_sec\": %.1f, \"schedules_per_sec\": %.1f}",
+            first_row ? "" : ",\n", name.c_str(),
+            ull(stats.schedules_covered), ull(stats.executions),
+            ull(stats.nodes), ull(stats.distinct_states),
+            ull(stats.visited_hits), ull(stats.sleep_skips),
+            ull(stats.mhp_prunes), ull(stats.mhp_sleep_keeps),
+            ull(stats.events_replayed), stats.truncated ? "true" : "false",
+            report.violations.size(), wall_ms,
+            perSecond(stats.executions, wall_ms),
+            perSecond(stats.schedules_covered, wall_ms));
+        first_row = false;
+    };
+
+    for (const Scenario &scenario : rchdroid::mc::scenarioCatalog())
+        run(scenario.name, scenario);
+
+    // makeAppScenario names both modes "app:<Name>", so the row key
+    // carries the mode.
+    const std::vector<rchdroid::apps::AppSpec> corpus =
+        rchdroid::sa::fullCorpus();
+    for (std::size_t app = 0; app < corpus.size(); app += kCorpusStride) {
+        const rchdroid::sa::AppVerdict verdict =
+            rchdroid::sa::analyzeApp(corpus[app]);
+        for (const rchdroid::sa::HandlingModel handling :
+             {rchdroid::sa::HandlingModel::Stock,
+              rchdroid::sa::HandlingModel::RchDroid}) {
+            const Scenario scenario = rchdroid::mc::makeAppScenario(
+                corpus[app], handling, verdict.cleanFor(handling));
+            run(scenario.name + "/" +
+                    rchdroid::sa::handlingModelName(handling),
+                scenario);
+        }
     }
 
     std::fprintf(out,
-                 "  },\n  \"totals\": {\"executions\": %llu, "
+                 "\n  },\n  \"totals\": {\"executions\": %llu, "
                  "\"schedules_covered\": %llu, \"wall_ms\": %.3f, "
                  "\"executions_per_sec\": %.1f, "
                  "\"schedules_per_sec\": %.1f}\n}\n",

@@ -1,5 +1,6 @@
 #include "apps/app_builder.h"
 
+#include <optional>
 #include <string>
 
 #include "apps/simulated_app.h"
@@ -133,8 +134,10 @@ buildMainLayout(const AppSpec &spec)
     return root;
 }
 
+namespace {
+
 BuiltApp
-buildAppResources(const AppSpec &spec)
+buildFresh(const AppSpec &spec)
 {
     auto table = std::make_shared<ResourceTable>();
 
@@ -180,6 +183,26 @@ buildAppResources(const AppSpec &spec)
 
     built.resources = std::move(table);
     return built;
+}
+
+} // namespace
+
+BuiltApp
+buildAppResources(const AppSpec &spec)
+{
+    // One app per host thread: a model-checker execution replays from a
+    // fresh system and a crashed app reopens on one, so the same spec
+    // installs many times in a row. The table is immutable once built,
+    // so an equal spec shares it. Thread-confined, hence no lock.
+    struct Memo
+    {
+        AppSpec spec;
+        BuiltApp built;
+    };
+    thread_local std::optional<Memo> memo;
+    if (!memo || memo->spec != spec)
+        memo = Memo{spec, buildFresh(spec)};
+    return memo->built;
 }
 
 ActivityFactory

@@ -28,6 +28,9 @@ struct BuiltApp
  * landscape variants (forcing configuration-dependent resolution, like
  * the paper's layout-land / layout-port benchmark files), the strings it
  * references, and one drawable per ImageView sized per the spec.
+ *
+ * The last app built on the calling thread is memoized: a call with an
+ * equal spec returns the same immutable table.
  */
 BuiltApp buildAppResources(const AppSpec &spec);
 

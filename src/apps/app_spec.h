@@ -83,6 +83,8 @@ struct AsyncSpec
      * of, or in addition to, updating the ImageViews).
      */
     bool shows_dialog = false;
+
+    bool operator==(const AsyncSpec &) const = default;
 };
 
 /**
@@ -158,6 +160,8 @@ struct AppSpec
 
     /** Total views the main layout will contain (incl. containers). */
     int totalLayoutViews() const;
+
+    bool operator==(const AppSpec &) const = default;
 };
 
 } // namespace rchdroid::apps

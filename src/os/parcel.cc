@@ -1,6 +1,7 @@
 #include "os/parcel.h"
 
 #include <cstring>
+#include <string>
 
 #include "os/bundle.h"
 #include "platform/logging.h"
@@ -115,15 +116,30 @@ Parcel::readBool()
     return byte != 0;
 }
 
+Result<std::size_t>
+Parcel::readCount(const char *what, std::size_t min_bytes)
+{
+    auto n = readInt32();
+    if (!n)
+        return n.status();
+    if (n.value() < 0)
+        return Status::internal(std::string("negative ") + what);
+    const auto count = static_cast<std::size_t>(n.value());
+    if (count > remaining() / min_bytes) {
+        return Status::internal(std::string(what) + " " +
+                                std::to_string(count) + " exceeds the " +
+                                std::to_string(remaining()) + " bytes left");
+    }
+    return count;
+}
+
 Result<std::string>
 Parcel::readString()
 {
-    auto len = readInt32();
+    auto len = readCount("string length", 1);
     if (!len)
         return len.status();
-    if (len.value() < 0)
-        return Status::internal("negative string length");
-    std::string s(static_cast<std::size_t>(len.value()), '\0');
+    std::string s(len.value(), '\0');
     if (auto st = readRaw(s.data(), s.size()); !st)
         return st;
     return s;
@@ -192,14 +208,23 @@ Parcel::writeBundle(const Bundle &bundle)
 Result<Bundle>
 Parcel::readBundle()
 {
-    auto count = readInt32();
+    return readBundleAt(1);
+}
+
+Result<Bundle>
+Parcel::readBundleAt(int depth)
+{
+    if (depth > kMaxBundleNesting) {
+        return Status::internal("bundle nesting deeper than " +
+                                std::to_string(kMaxBundleNesting));
+    }
+    // An entry is at least a key length and a wire tag.
+    auto count = readCount("bundle entry count", 8);
     if (!count)
         return count.status();
-    if (count.value() < 0)
-        return Status::internal("negative bundle entry count");
 
     Bundle out;
-    for (std::int32_t i = 0; i < count.value(); ++i) {
+    for (std::size_t i = 0; i < count.value(); ++i) {
         auto key = readString();
         if (!key)
             return key.status();
@@ -236,12 +261,12 @@ Parcel::readBundle()
             break;
           }
           case WireTag::IntVector: {
-            auto n = readInt32();
+            auto n = readCount("int vector count", sizeof(std::int64_t));
             if (!n)
                 return n.status();
             std::vector<std::int64_t> vec;
-            vec.reserve(static_cast<std::size_t>(std::max(n.value(), 0)));
-            for (std::int32_t j = 0; j < n.value(); ++j) {
+            vec.reserve(n.value());
+            for (std::size_t j = 0; j < n.value(); ++j) {
                 auto v = readInt64();
                 if (!v)
                     return v.status();
@@ -251,12 +276,13 @@ Parcel::readBundle()
             break;
           }
           case WireTag::StringVector: {
-            auto n = readInt32();
+            // A string is at least its length.
+            auto n = readCount("string vector count", sizeof(std::int32_t));
             if (!n)
                 return n.status();
             std::vector<std::string> vec;
-            vec.reserve(static_cast<std::size_t>(std::max(n.value(), 0)));
-            for (std::int32_t j = 0; j < n.value(); ++j) {
+            vec.reserve(n.value());
+            for (std::size_t j = 0; j < n.value(); ++j) {
                 auto v = readString();
                 if (!v)
                     return v.status();
@@ -266,7 +292,7 @@ Parcel::readBundle()
             break;
           }
           case WireTag::NestedBundle: {
-            auto v = readBundle();
+            auto v = readBundleAt(depth + 1);
             if (!v)
                 return v.status();
             out.putBundle(key.value(), std::move(v).value());

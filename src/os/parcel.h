@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "platform/status.h"
@@ -27,6 +28,8 @@ class Parcel
 {
   public:
     Parcel() = default;
+    /** A parcel over received bytes, read from the start (unmarshall). */
+    explicit Parcel(std::vector<std::uint8_t> data) : data_(std::move(data)) {}
 
     /** @name Writers (append at the end)
      * @{
@@ -57,10 +60,22 @@ class Parcel
     /** Serialize a bundle (recursively) into this parcel. */
     void writeBundle(const Bundle &bundle);
 
-    /** Deserialize a bundle previously written by writeBundle. */
+    /**
+     * Deserialize a bundle previously written by writeBundle. Malformed
+     * input yields an error Status, never an exception or a crash: every
+     * length and count is checked against the bytes left before
+     * anything is allocated, and nesting deeper than kMaxBundleNesting
+     * is rejected.
+     */
     Result<Bundle> readBundle();
 
+    /** Nested bundles readBundle accepts (the trace JSON reader's limit). */
+    static constexpr int kMaxBundleNesting = 64;
+
   private:
+    Result<Bundle> readBundleAt(int depth);
+    /** Read a count of elements that take at least `min_bytes` each. */
+    Result<std::size_t> readCount(const char *what, std::size_t min_bytes);
     Status checkAvailable(std::size_t n) const;
     void writeRaw(const void *p, std::size_t n);
     Status readRaw(void *p, std::size_t n);

@@ -71,6 +71,11 @@ class ResourceManager
                     ResourceCostModel cost_model);
 
     const ResourceTable &table() const { return *table_; }
+    /** The table as shared with every other holder (caches key on it). */
+    const std::shared_ptr<const ResourceTable> &sharedTable() const
+    {
+        return table_;
+    }
     const ResourceCostModel &costModel() const { return cost_model_; }
 
     /** @name Cost-reporting resolution

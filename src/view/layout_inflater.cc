@@ -2,7 +2,9 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -315,6 +317,32 @@ withItems(std::unique_ptr<AbsListView> list, const InflatePlan &plan,
     return asView(std::move(list));
 }
 
+using PlanMap =
+    std::unordered_map<const LayoutValue *, std::shared_ptr<const InflatePlan>>;
+
+/**
+ * The compiled plans of one table, keyed by the table's variant and
+ * shared by every inflater over that table on this host thread. The
+ * slot holds the table itself: plans point into it, and while it is
+ * held no later table can take its address. One table per thread, no
+ * lock; inflating another table's layout replaces the slot.
+ */
+PlanMap &
+plansFor(const std::shared_ptr<const ResourceTable> &table)
+{
+    struct Slot
+    {
+        std::shared_ptr<const ResourceTable> table;
+        PlanMap plans;
+    };
+    thread_local Slot slot;
+    if (slot.table != table) {
+        slot.plans.clear();
+        slot.table = table;
+    }
+    return slot.plans;
+}
+
 } // namespace
 
 LayoutInflater::LayoutInflater(ResourceManager &resources,
@@ -322,8 +350,6 @@ LayoutInflater::LayoutInflater(ResourceManager &resources,
     : resources_(resources), per_node_inflate_cost_(per_node_inflate_cost)
 {
 }
-
-LayoutInflater::~LayoutInflater() = default;
 
 Status
 LayoutInflater::registerFactory(const std::string &element,
@@ -346,11 +372,14 @@ LayoutInflater::inflate(ResourceId layout_id, const Configuration &config)
     if (!layout)
         return layout.status();
     const LayoutValue *variant = layout.value().value;
-    auto &plan = plans_[variant];
-    if (!plan) {
-        plan = std::make_unique<const InflatePlan>(
+    auto &cached = plansFor(resources_.sharedTable())[variant];
+    if (!cached) {
+        cached = std::make_shared<const InflatePlan>(
             compile(variant->root, resources_.table()));
     }
+    // Own the plan for the run: a custom factory may inflate another
+    // table's layout on this thread, which replaces the cache.
+    const std::shared_ptr<const InflatePlan> plan = cached;
     auto inflated = run(*plan, config);
     if (!inflated)
         return inflated.status();

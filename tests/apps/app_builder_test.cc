@@ -1,11 +1,19 @@
 /**
  * @file
  * app_builder: the generated resources and layout must express the
- * spec's composition and issue class.
+ * spec's composition and issue class; an equal spec reuses the table
+ * built last on its thread, and threads never see each other's.
  */
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "apps/app_builder.h"
+#include "apps/corpus.h"
+#include "platform/logging.h"
+#include "sim/android_system.h"
 
 namespace rchdroid::apps {
 namespace {
@@ -132,6 +140,127 @@ TEST(AppBuilder, FactoryProducesSimulatedApp)
     auto activity = factory();
     ASSERT_NE(activity, nullptr);
     EXPECT_EQ(activity->component(), spec.component());
+}
+
+TEST(AppBuilderReuse, EqualSpecReturnsTheSameTable)
+{
+    const BuiltApp first = buildAppResources(sampleSpec());
+    const BuiltApp second = buildAppResources(sampleSpec());
+    EXPECT_EQ(first.resources.get(), second.resources.get());
+    EXPECT_EQ(first.main_layout, second.main_layout);
+}
+
+TEST(AppBuilderReuse, ChangedSpecBuildsANewTableWithItsContent)
+{
+    const BuiltApp base = buildAppResources(sampleSpec());
+    const Configuration portrait = Configuration::defaultPortrait();
+    const auto title = [&](const BuiltApp &built) {
+        const auto id = built.resources->idForName(ResourceType::String,
+                                                   "title");
+        return built.resources->resolveString(id.value(), portrait)
+            .value()
+            .text;
+    };
+    const auto drawable = [&](const BuiltApp &built, const std::string &name) {
+        return built.resources->idForName(ResourceType::Drawable, name);
+    };
+    const auto layout = [&](const BuiltApp &built) {
+        return built.resources->resolveLayout(built.main_layout, portrait)
+            .value()
+            ->root;
+    };
+
+    AppSpec renamed = sampleSpec();
+    renamed.name = "Renamed";
+    const BuiltApp by_name = buildAppResources(renamed);
+    EXPECT_NE(by_name.resources.get(), base.resources.get());
+    EXPECT_EQ(title(by_name), "Renamed");
+
+    AppSpec more_images = sampleSpec();
+    more_images.n_image_views = 5;
+    const BuiltApp by_images = buildAppResources(more_images);
+    EXPECT_NE(by_images.resources.get(), by_name.resources.get());
+    EXPECT_TRUE(drawable(by_images, "img_4").isOk());
+    EXPECT_FALSE(drawable(by_name, "img_4").isOk());
+    EXPECT_EQ(countElement(layout(by_images), "ImageView"), 5);
+
+    AppSpec bigger = sampleSpec();
+    bigger.image_edge_px = 64;
+    const BuiltApp by_edge = buildAppResources(bigger);
+    EXPECT_NE(by_edge.resources.get(), by_images.resources.get());
+    const auto img = drawable(by_edge, "img_0");
+    ASSERT_TRUE(img.isOk());
+    EXPECT_EQ(by_edge.resources->resolveDrawable(img.value(), portrait)
+                  .value()
+                  .width_px,
+              64);
+
+    AppSpec scrolled = sampleSpec();
+    scrolled.critical = CriticalState::ScrollOffsetNoId;
+    const BuiltApp by_critical = buildAppResources(scrolled);
+    EXPECT_NE(by_critical.resources.get(), by_edge.resources.get());
+    EXPECT_EQ(countElement(layout(by_critical), "ScrollView"), 1);
+    EXPECT_EQ(countElement(layout(by_edge), "ScrollView"), 0);
+}
+
+/** What one boot, rotate and verify of an app observed, as text. */
+std::string
+bootRotateVerify(const AppSpec &spec)
+{
+    sim::AndroidSystem system;
+    system.install(spec);
+    system.launch(spec);
+    system.applyUserState(spec);
+    system.rotate();
+    system.waitHandlingComplete();
+    ActivityThread &thread = system.threadFor(spec);
+    const ResourceLoadStats &loads = thread.resources().stats();
+    return spec.name + ": " +
+           (thread.crashed() ? "crashed"
+                             : system.verifyCriticalState(spec).toString()) +
+           " end=" + std::to_string(system.scheduler().now()) +
+           " strings=" + std::to_string(loads.string_loads) +
+           " drawables=" + std::to_string(loads.drawable_loads) +
+           " layouts=" + std::to_string(loads.layout_loads) +
+           " bytes=" + std::to_string(loads.drawable_bytes) +
+           " load_cost=" + std::to_string(loads.total_cost);
+}
+
+/** Worker `w`'s sequence: the shared spec between two of its own. */
+std::vector<AppSpec>
+workSequence(const std::vector<AppSpec> &corpus, int w)
+{
+    const AppSpec &shared = corpus[0];
+    const AppSpec &own_a = corpus[1 + 2 * w];
+    const AppSpec &own_b = corpus[2 + 2 * w];
+    return {shared, own_a, shared, own_b, shared, shared, own_a, own_b};
+}
+
+TEST(AppBuilderReuse, ThreadsMatchTheSerialRun)
+{
+    ScopedLogSilencer quiet;
+    const std::vector<AppSpec> corpus = tp37();
+    constexpr int kWorkers = 4;
+    std::vector<std::vector<std::string>> serial(kWorkers);
+    for (int w = 0; w < kWorkers; ++w) {
+        for (const AppSpec &spec : workSequence(corpus, w))
+            serial[w].push_back(bootRotateVerify(spec));
+    }
+
+    std::vector<std::vector<std::string>> threaded(kWorkers);
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kWorkers; ++w) {
+        workers.emplace_back([&, w] {
+            ScopedLogSilencer worker_quiet;
+            for (const AppSpec &spec : workSequence(corpus, w))
+                threaded[w].push_back(bootRotateVerify(spec));
+        });
+    }
+    for (std::thread &worker : workers)
+        worker.join();
+
+    for (int w = 0; w < kWorkers; ++w)
+        EXPECT_EQ(threaded[w], serial[w]) << "worker " << w;
 }
 
 } // namespace

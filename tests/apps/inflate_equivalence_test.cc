@@ -3,7 +3,8 @@
  * Inflation is deterministic and memo-transparent: every corpus app's
  * main layout, plus three §5.1 benchmark apps, inflates to the same
  * tree, cost and resource loads on an inflater's first (compiling) and
- * second (memoized) inflate, under portrait en-US, landscape en-US and
+ * second (memoized) inflate, and on a second inflater over the same
+ * table (sharing the plans), under portrait en-US, landscape en-US and
  * landscape fr-FR. The combined digest pins the trees, costs and load
  * counts the inflater produced before layouts were compiled into plans.
  */
@@ -144,12 +145,18 @@ TEST(InflateEquivalence, MemoizedInflatesMatchFirstInflatesAndThePin)
         const apps::BuiltApp built = apps::buildAppResources(spec);
         ResourceManager resources(built.resources, costs);
         LayoutInflater inflater(resources, microseconds(13));
+        ResourceManager other_resources(built.resources, costs);
+        LayoutInflater other(other_resources, microseconds(13));
         for (const Configuration &config : configs) {
             const std::string first =
                 inflateAndDump(inflater, resources, built.main_layout, config);
             const std::string second =
                 inflateAndDump(inflater, resources, built.main_layout, config);
+            const std::string shared = inflateAndDump(
+                other, other_resources, built.main_layout, config);
             EXPECT_EQ(first, second)
+                << spec.name << " under " << config.toString();
+            EXPECT_EQ(first, shared)
                 << spec.name << " under " << config.toString();
             EXPECT_EQ(first.rfind("error ", 0), std::string::npos) << first;
             digest = fnv1a(digest, first);

@@ -1,8 +1,8 @@
 /**
  * @file
  * LayoutInflater: element construction, resource references, cost
- * accounting, custom factories, and repeat inflates of a compiled
- * layout.
+ * accounting, custom factories, repeat inflates of a compiled layout,
+ * and inflaters sharing one table's plans.
  */
 #include <gtest/gtest.h>
 
@@ -354,6 +354,118 @@ TEST_F(InflaterFixture, InflateNodeBuildsEachTreeItIsGiven)
     // 2 + 3 nodes at 100 us, one string load (10 us) per tree.
     EXPECT_EQ(first.value().cost, microseconds(2 * 100 + 10));
     EXPECT_EQ(second.value().cost, microseconds(3 * 100 + 10));
+}
+
+/** The tree's types, ids, texts and assets, one line per view. */
+std::string
+describe(const View &view)
+{
+    std::string out = std::string(view.typeName()) + "#" + view.id();
+    if (const auto *text = dynamic_cast<const TextView *>(&view))
+        out += " text=" + text->text();
+    if (const auto *image = dynamic_cast<const ImageView *>(&view))
+        out += " asset=" + image->assetName();
+    out += "\n";
+    if (const auto *group = dynamic_cast<const ViewGroup *>(&view)) {
+        for (std::size_t i = 0; i < group->childCount(); ++i)
+            out += describe(group->childAt(i));
+    }
+    return out;
+}
+
+/** One inflate's tree, cost and the loads it added to `resources`. */
+std::string
+inflateSummary(LayoutInflater &inflater, const ResourceManager &resources,
+               ResourceId layout, const Configuration &config)
+{
+    const ResourceLoadStats before = resources.stats();
+    auto result = inflater.inflate(layout, config);
+    if (!result)
+        return result.status().toString();
+    const ResourceLoadStats &after = resources.stats();
+    return describe(*result.value().value) +
+           "cost=" + std::to_string(result.value().cost) +
+           " strings=" + std::to_string(after.string_loads - before.string_loads) +
+           " drawables=" +
+           std::to_string(after.drawable_loads - before.drawable_loads) +
+           " layouts=" + std::to_string(after.layout_loads - before.layout_loads) +
+           " bytes=" +
+           std::to_string(after.drawable_bytes - before.drawable_bytes) +
+           " load_cost=" + std::to_string(after.total_cost - before.total_cost);
+}
+
+TEST_F(InflaterFixture, InflatersOverOneTableMatchACopiedTable)
+{
+    // A second inflater over the same table shares its compiled plans;
+    // one over a copy of the table compiles its own.
+    ResourceManager shared(resources->sharedTable(), resources->costModel());
+    LayoutInflater second(shared, microseconds(100));
+    ResourceManager copied(std::make_shared<const ResourceTable>(
+                               resources->table()),
+                           resources->costModel());
+    LayoutInflater fresh(copied, microseconds(100));
+
+    for (const Configuration &each :
+         {config, config.withLocale("fr-FR"), config, config}) {
+        const std::string first =
+            inflateSummary(*inflater, *resources, layout_id, each);
+        EXPECT_EQ(inflateSummary(second, shared, layout_id, each), first);
+        EXPECT_EQ(inflateSummary(fresh, copied, layout_id, each), first);
+    }
+    EXPECT_EQ(resources->stats().string_loads, copied.stats().string_loads);
+    EXPECT_EQ(shared.stats().drawable_bytes, copied.stats().drawable_bytes);
+    EXPECT_EQ(shared.stats().total_cost, copied.stats().total_cost);
+}
+
+TEST_F(LateInflaterFixture, FactoriesStayWithTheirInflater)
+{
+    ASSERT_TRUE(inflater->registerFactory(
+        "Card", [](const std::string &id, const auto &) {
+            return std::make_unique<Button>(id);
+        }));
+    ASSERT_TRUE(inflater->inflate(card, config).isOk());
+
+    // Same table, so the plan compiled above is shared; the factory is not.
+    ResourceManager shared(resources->sharedTable(), resources->costModel());
+    LayoutInflater other(shared, microseconds(100));
+    auto unregistered = other.inflate(card, config);
+    ASSERT_FALSE(unregistered.isOk());
+    EXPECT_EQ(unregistered.status().toString(),
+              "NotFound: unknown layout element Card");
+
+    ASSERT_TRUE(other.registerFactory(
+        "Card", [](const std::string &id, const auto &) {
+            return std::make_unique<EditText>(id);
+        }));
+    auto mine = inflater->inflate(card, config);
+    auto theirs = other.inflate(card, config);
+    ASSERT_TRUE(mine.isOk());
+    ASSERT_TRUE(theirs.isOk());
+    EXPECT_STREQ(mine.value().value->findViewById("c")->typeName(), "Button");
+    EXPECT_STREQ(theirs.value().value->findViewById("c")->typeName(),
+                 "EditText");
+}
+
+TEST_F(LateInflaterFixture, FactoryMayInflateAnotherTablesLayout)
+{
+    // The factory's inflate replaces this thread's plan cache while the
+    // outer inflate is still walking its plan.
+    auto other_table = std::make_shared<ResourceTable>();
+    const ResourceId other_layout = addSingleElementLayout(
+        *other_table, "other", "TextView", {{"id", "o"}, {"text", "x"}});
+    ResourceManager other_resources(other_table, ResourceCostModel{});
+    LayoutInflater other(other_resources, microseconds(100));
+    ASSERT_TRUE(inflater->registerFactory(
+        "Card", [&](const std::string &id, const auto &) {
+            EXPECT_TRUE(other.inflate(other_layout, config).isOk());
+            return std::make_unique<Button>(id);
+        }));
+    for (int round = 0; round < 2; ++round) {
+        auto result = inflater->inflate(card, config);
+        ASSERT_TRUE(result.isOk()) << result.status().toString();
+        EXPECT_STREQ(result.value().value->findViewById("c")->typeName(),
+                     "Button");
+    }
 }
 
 TEST_F(InflaterFixture, CannotOverrideBuiltins)
