@@ -12,7 +12,7 @@
 #include <string>
 
 #include "app/binder_interfaces.h"
-#include "os/analysis_hooks.h"
+#include "os/observer.h"
 #include "platform/time.h"
 #include "resources/configuration.h"
 
@@ -46,8 +46,7 @@ class ActivityRecord
 
     ~ActivityRecord()
     {
-        if (auto *hooks = analysis::hooks())
-            hooks->onObjectGone(this);
+        obs::notify(&obs::Observer::onObjectGone, this);
     }
 
     ActivityToken token() const { return token_; }
@@ -103,13 +102,12 @@ class ActivityRecord
     SimTime createdAt() const { return created_at_; }
 
   private:
-    /** Report a record access to the race-detection hooks. */
+    /** Report a record access to the observer chain. */
     void
     noteAccess(bool is_write) const
     {
-        if (auto *hooks = analysis::hooks())
-            hooks->onSharedAccess(this, "ActivityRecord", component_,
-                                  is_write);
+        obs::notify(&obs::Observer::onSharedAccess, this, "ActivityRecord",
+                    component_, is_write);
     }
 
     ActivityToken token_;

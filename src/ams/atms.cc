@@ -2,9 +2,9 @@
 
 #include <utility>
 
+#include "os/observer.h"
 #include "platform/logging.h"
 #include "platform/metrics.h"
-#include "platform/tracing.h"
 
 namespace rchdroid {
 
@@ -19,11 +19,10 @@ runtimeChangeModeName(RuntimeChangeMode mode)
 }
 
 Atms::Atms(SimScheduler &scheduler, const AtmsCosts &costs,
-           const IpcLatencyModel &client_latency, TelemetrySink *telemetry)
+           const IpcLatencyModel &client_latency)
     : scheduler_(scheduler),
       costs_(costs),
       client_latency_(client_latency),
-      telemetry_(telemetry ? telemetry : &NullTelemetrySink::instance()),
       looper_(scheduler, "system_server.atms"),
       starter_(std::make_unique<ActivityStarter>(*this))
 {
@@ -59,7 +58,7 @@ Atms::emitEvent(TelemetryKind kind, const std::string &detail,
     event.kind = kind;
     event.detail = detail;
     event.value = value;
-    telemetry_->record(event);
+    obs::notify(&obs::Observer::onTelemetry, scheduler_, event);
 }
 
 ActivityClient *
@@ -84,21 +83,11 @@ Atms::callClient(const std::string &process, std::function<void()> fn,
     SimDuration departure_delay = 0;
     if (looper_.isDispatching())
         departure_delay = looper_.currentCostEnd() - scheduler_.now();
-    std::uint64_t causal_id = 0;
-#if RCHDROID_TRACING
     // Flow-start at the binder send site: the client-side message this
     // transaction enqueues inherits the id through the scheduler slot
     // (pending causal), so the edge spans the whole server->client hop
     // and the binder latency shows up as queue wait.
-    if (trace::Tracer *tracer = trace::Tracer::current()) {
-        if (looper_.isDispatching()) {
-            causal_id = tracer->newFlowId();
-            tracer->flowAt(trace::Phase::kFlowStart, tracer->currentLane(),
-                           tracer->now(), causal_id, "binder",
-                           /*bind_enclosing=*/false);
-        }
-    }
-#endif
+    const std::uint64_t causal_id = beginTraceFlow(&looper_, "binder");
     scheduler_.schedule(departure_delay +
                             client_latency_.oneWay(payload_bytes),
                         std::move(fn), EventLabel{}, causal_id);

@@ -57,11 +57,9 @@ class Atms final : public ActivityManager
      * @param scheduler Shared discrete-event core.
      * @param costs Server-side cost constants.
      * @param client_latency Binder latency towards app processes.
-     * @param telemetry Event sink; null for the drop-everything sink.
      */
     Atms(SimScheduler &scheduler, const AtmsCosts &costs,
-         const IpcLatencyModel &client_latency,
-         TelemetrySink *telemetry = nullptr);
+         const IpcLatencyModel &client_latency);
     ~Atms() override;
 
     Atms(const Atms &) = delete;
@@ -145,7 +143,6 @@ class Atms final : public ActivityManager
     SimScheduler &scheduler_;
     AtmsCosts costs_;
     IpcLatencyModel client_latency_;
-    TelemetrySink *telemetry_;
     Looper looper_;
     RuntimeChangeMode mode_ = RuntimeChangeMode::Restart;
     Configuration config_;

@@ -77,15 +77,13 @@ Analyzer::summary() const
 void
 Analyzer::onLooperCreated(Looper &looper)
 {
-    if (options_.race_detector)
-        races_.onLooperCreated(looper);
+    races_.onLooperCreated(looper);
 }
 
 void
 Analyzer::onLooperDestroyed(Looper &looper)
 {
-    if (options_.race_detector)
-        races_.onLooperDestroyed(looper);
+    races_.onLooperDestroyed(looper);
 }
 
 void
@@ -94,8 +92,7 @@ Analyzer::onMessageSend(Looper &target, std::uint64_t msg_id, SimTime when,
 {
     (void)when;
     (void)tag;
-    if (options_.race_detector)
-        races_.onMessageSend(target, msg_id);
+    races_.onMessageSend(target, msg_id);
 }
 
 void
@@ -103,8 +100,7 @@ Analyzer::onDispatchBegin(Looper &looper, std::uint64_t msg_id,
                           const std::string &tag)
 {
     context_.pushDispatch(looper, msg_id, tag);
-    if (options_.race_detector)
-        races_.onDispatchBegin(looper, msg_id);
+    races_.onDispatchBegin(looper, msg_id);
     if (TimelineEntry *entry = nextTimelineSlot()) {
         entry->kind = TimelineEntry::Kind::Dispatch;
         entry->time = looper.now();
@@ -115,17 +111,18 @@ Analyzer::onDispatchBegin(Looper &looper, std::uint64_t msg_id,
 }
 
 void
-Analyzer::onDispatchEnd(Looper &looper)
+Analyzer::onDispatchEnd(Looper &looper, SimTime start, SimTime end)
 {
     (void)looper;
+    (void)start;
+    (void)end;
     context_.popDispatch();
 }
 
 void
 Analyzer::onSyncBarrier(const void *scope, const char *label)
 {
-    if (options_.race_detector)
-        races_.onSyncBarrier(scope, label);
+    races_.onSyncBarrier(scope, label);
     if (TimelineEntry *entry = nextTimelineSlot()) {
         entry->kind = TimelineEntry::Kind::Barrier;
         entry->time = context_.now();
@@ -137,15 +134,13 @@ void
 Analyzer::onSharedAccess(const void *object, const char *kind,
                          const std::string &label, bool is_write)
 {
-    if (options_.race_detector)
-        races_.onSharedAccess(object, kind, label, is_write);
+    races_.onSharedAccess(object, kind, label, is_write);
 }
 
 void
 Analyzer::onObjectGone(const void *object)
 {
-    if (options_.race_detector)
-        races_.onObjectGone(object);
+    races_.onObjectGone(object);
 }
 
 void
@@ -164,24 +159,21 @@ Analyzer::onLifecycleTransition(const void *activity, const void *scope,
         entry->from = from_state;
         entry->to = to_state;
     }
-    if (options_.lifecycle_checker)
-        lifecycle_.onTransition(activity, scope, component, instance_id,
-                                from_state, to_state);
+    lifecycle_.onTransition(activity, scope, component, instance_id,
+                            from_state, to_state);
 }
 
 void
 Analyzer::onActivityGone(const void *activity)
 {
-    if (options_.lifecycle_checker)
-        lifecycle_.onActivityGone(activity);
+    lifecycle_.onActivityGone(activity);
 }
 
 void
 Analyzer::onDestroyedViewMutation(const void *view, const char *kind,
                                   const std::string &label)
 {
-    if (options_.lifecycle_checker)
-        lifecycle_.onDestroyedViewMutation(view, kind, label);
+    lifecycle_.onDestroyedViewMutation(view, kind, label);
 }
 
 void
@@ -198,16 +190,19 @@ Analyzer::onAppCodeEnd()
 
 ScopedAnalyzer::ScopedAnalyzer(AnalyzerOptions options) : analyzer_(options)
 {
-    if (!hooks()) {
-        setHooks(&analyzer_);
-        installed_ = true;
-    }
+    if (subscribedAnalyzer() == nullptr)
+        subscription_.emplace(analyzer_);
 }
 
-ScopedAnalyzer::~ScopedAnalyzer()
+Analyzer *
+subscribedAnalyzer()
 {
-    if (installed_)
-        setHooks(nullptr);
+    for (obs::Subscription *node = obs::head(); node != nullptr;
+         node = node->next()) {
+        if (auto *analyzer = dynamic_cast<Analyzer *>(&node->observer()))
+            return analyzer;
+    }
+    return nullptr;
 }
 
 namespace {

@@ -1,17 +1,18 @@
 /**
  * @file
- * Analyzer: the analysis subsystem's facade — one object implementing
- * the os-level Hooks interface, owning the race detector, the lifecycle
+ * Analyzer: the analysis subsystem's facade — one subscriber of the
+ * os-level observer chain, owning the race detector, the lifecycle
  * protocol checker, the shared ViolationSink, and a ring buffer of
  * recent events that every violation report carries as a timeline.
  *
- * Installation is RAII-scoped (ScopedAnalyzer) and idempotent: a guard
- * only installs when no hooks are present, so a test that installs its
- * own analyzer wins over the one AndroidSystem would install. By
- * default the subsystem is on in debug builds and off in release; the
- * RCHDROID_ANALYSIS / RCHDROID_ANALYSIS_ABORT environment variables
- * override in both directions, which is how every tier-1 ctest run gets
- * the checkers with abort-on-violation armed regardless of build type.
+ * Subscription is RAII-scoped (ScopedAnalyzer) and idempotent: a guard
+ * only subscribes when no other analyzer is on the chain, so a test
+ * that subscribes its own analyzer wins over the one AndroidSystem
+ * would bring. By default the subsystem is on in debug builds and off
+ * in release; the RCHDROID_ANALYSIS / RCHDROID_ANALYSIS_ABORT
+ * environment variables override in both directions, which is how
+ * every tier-1 ctest run gets the checkers with abort-on-violation
+ * armed regardless of build type.
  */
 #ifndef RCHDROID_ANALYSIS_ANALYZER_H
 #define RCHDROID_ANALYSIS_ANALYZER_H
@@ -26,15 +27,13 @@
 #include "analysis/lifecycle_checker.h"
 #include "analysis/race_detector.h"
 #include "analysis/violation.h"
-#include "os/analysis_hooks.h"
+#include "os/observer.h"
 
 namespace rchdroid::analysis {
 
-/** What the Analyzer runs and how it reacts to findings. */
+/** How the Analyzer reacts to findings. */
 struct AnalyzerOptions
 {
-    bool race_detector = true;
-    bool lifecycle_checker = true;
     /** Panic on the first violation (how tier-1 tests run). */
     bool abort_on_violation = false;
     /** Recent-event ring attached to every report. */
@@ -42,10 +41,10 @@ struct AnalyzerOptions
 };
 
 /**
- * The hooks implementation: dispatch/lifecycle/access events fan out to
- * the enabled checkers and into the timeline ring.
+ * The observer: dispatch/lifecycle/access events fan out to both
+ * checkers and into the timeline ring.
  */
-class Analyzer final : public Hooks
+class Analyzer final : public obs::Observer
 {
   public:
     explicit Analyzer(AnalyzerOptions options = {});
@@ -62,7 +61,7 @@ class Analyzer final : public Hooks
     /** One-line "N violations (x races, y lifecycle, ...)" summary. */
     std::string summary() const;
 
-    /** @name Hooks implementation
+    /** @name Observer implementation
      * @{
      */
     void onLooperCreated(Looper &looper) override;
@@ -71,7 +70,7 @@ class Analyzer final : public Hooks
                        const std::string &tag) override;
     void onDispatchBegin(Looper &looper, std::uint64_t msg_id,
                          const std::string &tag) override;
-    void onDispatchEnd(Looper &looper) override;
+    void onDispatchEnd(Looper &looper, SimTime start, SimTime end) override;
     void onSyncBarrier(const void *scope, const char *label) override;
     void onSharedAccess(const void *object, const char *kind,
                         const std::string &label, bool is_write) override;
@@ -126,23 +125,22 @@ class Analyzer final : public Hooks
 };
 
 /**
- * RAII installer. Owns an Analyzer and installs it as this thread's
- * hooks — unless hooks are already installed on the thread, in which
- * case this guard is inert (installed() == false) and the earlier
- * installation wins. The seam is thread-local, so systems running on
- * parallel experiment workers each get their own analyzer.
+ * RAII subscriber. Owns an Analyzer and subscribes it to this thread's
+ * observer chain — unless another analyzer is already subscribed, in
+ * which case this guard is inert (installed() == false) and the earlier
+ * one keeps receiving the events. The chain is thread-local, so systems
+ * running on parallel experiment workers each get their own analyzer.
  */
 class ScopedAnalyzer
 {
   public:
     explicit ScopedAnalyzer(AnalyzerOptions options = {});
-    ~ScopedAnalyzer();
 
     ScopedAnalyzer(const ScopedAnalyzer &) = delete;
     ScopedAnalyzer &operator=(const ScopedAnalyzer &) = delete;
 
-    /** False when another analyzer was already installed. */
-    bool installed() const { return installed_; }
+    /** False when another analyzer was already subscribed. */
+    bool installed() const { return subscription_.has_value(); }
 
     /** This guard's analyzer (inert when !installed()). */
     Analyzer &analyzer() { return analyzer_; }
@@ -150,8 +148,11 @@ class ScopedAnalyzer
 
   private:
     Analyzer analyzer_;
-    bool installed_ = false;
+    std::optional<obs::Subscription> subscription_;
 };
+
+/** The newest analyzer on this thread's observer chain, or null. */
+Analyzer *subscribedAnalyzer();
 
 /** @name Environment-driven defaults
  * RCHDROID_ANALYSIS=1/0 forces the subsystem on/off (default: on in

@@ -5,7 +5,7 @@
  * Both checkers (race detector, lifecycle protocol checker) funnel their
  * findings through one ViolationSink. The sink keeps the structured
  * record for tests to assert on, mirrors each finding into telemetry so
- * it lands on the simulation trace next to the events that caused it,
+ * it lands on its system's trace next to the events that caused it,
  * and — when abort-on-violation is armed, as it is for every tier-1
  * test run — panics with the full report so CI fails loudly at the
  * first defect.
@@ -20,8 +20,11 @@
 #include <string>
 #include <vector>
 
-#include "platform/telemetry.h"
 #include "platform/time.h"
+
+namespace rchdroid {
+class SimScheduler;
+}
 
 namespace rchdroid::analysis {
 
@@ -74,8 +77,14 @@ class ViolationSink
     void setAbortOnViolation(bool abort) { abort_on_violation_ = abort; }
     bool abortOnViolation() const { return abort_on_violation_; }
 
-    /** Mirror findings onto this trace (not owned; null to detach). */
-    void setTelemetry(TelemetrySink *telemetry) { telemetry_ = telemetry; }
+    /**
+     * Mirror each finding onto the observer chain as an
+     * `analysis.<kind>` telemetry event from `source`, the scheduler of
+     * the system that owns this sink's analyzer; null (the default)
+     * mirrors nothing.
+     */
+    void setTelemetrySource(const SimScheduler *source)
+    { telemetry_source_ = source; }
 
     /**
      * Callback that snapshots the recent-event timeline; the sink
@@ -105,7 +114,7 @@ class ViolationSink
     std::array<std::size_t, 4> counts_{};
     std::size_t total_count_ = 0;
     bool abort_on_violation_ = false;
-    TelemetrySink *telemetry_ = nullptr;
+    const SimScheduler *telemetry_source_ = nullptr;
     std::function<std::vector<std::string>()> timeline_snapshotter_;
 };
 

@@ -2,7 +2,9 @@
 
 #include <sstream>
 
+#include "os/observer.h"
 #include "platform/logging.h"
+#include "platform/telemetry.h"
 
 namespace rchdroid::analysis {
 
@@ -46,12 +48,19 @@ ViolationSink::report(Violation violation)
 
     ++total_count_;
     ++counts_[static_cast<std::size_t>(violation.kind)];
-    if (telemetry_) {
+    if (telemetry_source_) {
+        // Indexed by ViolationKind.
+        static constexpr TelemetryKind kKinds[] = {
+            kinds::kAnalysisDataRace,
+            kinds::kAnalysisLifecycleTransition,
+            kinds::kAnalysisLifecycleInvariant,
+            kinds::kAnalysisDestroyedViewMutation,
+        };
         TelemetryEvent event;
         event.time = violation.time;
-        event.kind = std::string("analysis.") + violationKindName(violation.kind);
+        event.kind = kKinds[static_cast<std::size_t>(violation.kind)];
         event.detail = violation.summary;
-        telemetry_->record(event);
+        obs::notify(&obs::Observer::onTelemetry, *telemetry_source_, event);
     }
     RCH_LOGE("Analysis", violation.toString());
     if (abort_on_violation_)

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "os/analysis_hooks.h"
+#include "os/observer.h"
 #include "platform/logging.h"
 
 namespace rchdroid {
@@ -18,8 +18,7 @@ Activity::Activity(std::string component)
 
 Activity::~Activity()
 {
-    if (auto *hooks = analysis::hooks())
-        hooks->onActivityGone(this);
+    obs::notify(&obs::Observer::onActivityGone, this);
 }
 
 void
@@ -42,14 +41,15 @@ Activity::chargeCpu(SimDuration cost)
 void
 Activity::emitEvent(TelemetryKind kind, double value)
 {
-    if (!context_.telemetry)
+    if (!context_.ui_looper)
         return;
     TelemetryEvent event;
-    event.time = context_.ui_looper ? context_.ui_looper->now() : 0;
+    event.time = context_.ui_looper->now();
     event.kind = kind;
     event.detail = component_;
     event.value = value;
-    context_.telemetry->record(event);
+    obs::notify(&obs::Observer::onTelemetry, context_.ui_looper->scheduler(),
+                event);
 }
 
 void
@@ -58,12 +58,10 @@ Activity::transitionTo(LifecycleState next)
     // Reported before validity is enforced so the protocol checker can
     // record an illegal attempt even when the assert below is the thing
     // that stops it.
-    if (auto *hooks = analysis::hooks()) {
-        hooks->onLifecycleTransition(this, context_.thread, component_,
-                                     instance_id_,
-                                     static_cast<std::uint8_t>(state_),
-                                     static_cast<std::uint8_t>(next));
-    }
+    obs::notify(&obs::Observer::onLifecycleTransition, this,
+                context_.thread, component_, instance_id_,
+                static_cast<std::uint8_t>(state_),
+                static_cast<std::uint8_t>(next));
     RCH_ASSERT(isValidTransition(state_, next), component_, " instance ",
                instance_id_, ": illegal lifecycle transition ",
                lifecycleStateName(state_), " -> ", lifecycleStateName(next));

@@ -65,7 +65,6 @@ struct ActivityContext
     ResourceManager *resources = nullptr;
     LayoutInflater *inflater = nullptr;
     FrameworkCosts costs;
-    TelemetrySink *telemetry = nullptr;
     /** Hosting process; app code uses it to spawn AsyncTasks. */
     ActivityThread *thread = nullptr;
 };
@@ -256,7 +255,10 @@ class Activity : public ViewTreeHost
     /** Charge virtual CPU to the UI looper when inside a dispatch. */
     void chargeCpu(SimDuration cost);
 
-    /** Emit a telemetry event tagged with this component. */
+    /**
+     * Emit a telemetry event tagged with this component, from the UI
+     * looper's scheduler; dropped without a UI looper.
+     */
     void emitEvent(TelemetryKind kind, double value = 0.0);
 
   private:

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "os/analysis_hooks.h"
+#include "os/observer.h"
 #include "platform/logging.h"
 #include "platform/metrics.h"
 #include "platform/tracing.h"
@@ -29,14 +29,12 @@ sendStartActivity(ActivityThread &thread, const std::string &component)
 ActivityThread::ActivityThread(SimScheduler &scheduler, ProcessParams params,
                                std::shared_ptr<const ResourceTable> resources,
                                const ResourceCostModel &resource_costs,
-                               const FrameworkCosts &costs,
-                               TelemetrySink *telemetry)
+                               const FrameworkCosts &costs)
     : scheduler_(scheduler),
       params_(std::move(params)),
       resources_(std::move(resources), resource_costs),
       inflater_(resources_, costs.inflate_per_node),
       costs_(costs),
-      telemetry_(telemetry ? telemetry : &NullTelemetrySink::instance()),
       ui_looper_(scheduler, params_.process_name + ".main"),
       worker_looper_(scheduler, params_.process_name + ".async")
 {
@@ -59,7 +57,7 @@ ActivityThread::emitEvent(TelemetryKind kind, const std::string &detail,
     event.kind = kind;
     event.detail = detail;
     event.value = value;
-    telemetry_->record(event);
+    obs::notify(&obs::Observer::onTelemetry, scheduler_, event);
 }
 
 std::shared_ptr<Activity>
@@ -112,7 +110,6 @@ ActivityThread::createInstance(const std::string &component,
     context.resources = &resources_;
     context.inflater = &inflater_;
     context.costs = costs_;
-    context.telemetry = telemetry_;
     context.thread = this;
     activity->attachContext(std::move(context));
     return activity;
@@ -309,16 +306,13 @@ ActivityThread::runAppCode(const std::function<void()> &fn)
     // The app-code scope tells the analysis layer that destroyed-view
     // touches in here are the simulated app bug under study (absorbed by
     // this crash guard), not the framework breaking its own protocol.
-    auto *hooks = analysis::hooks();
-    if (hooks)
-        hooks->onAppCodeBegin();
+    obs::notify(&obs::Observer::onAppCodeBegin);
     try {
         fn();
     } catch (const UiException &e) {
         handleCrash(e);
     }
-    if (hooks)
-        hooks->onAppCodeEnd();
+    obs::notify(&obs::Observer::onAppCodeEnd);
 }
 
 void

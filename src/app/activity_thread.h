@@ -67,13 +67,11 @@ class ActivityThread final : public ActivityClient
      * @param resources The app's declared resources.
      * @param resource_costs Load-cost model (from sim::DeviceModel).
      * @param costs Framework cost constants (from sim::DeviceModel).
-     * @param telemetry Event sink; null for the drop-everything sink.
      */
     ActivityThread(SimScheduler &scheduler, ProcessParams params,
                    std::shared_ptr<const ResourceTable> resources,
                    const ResourceCostModel &resource_costs,
-                   const FrameworkCosts &costs,
-                   TelemetrySink *telemetry = nullptr);
+                   const FrameworkCosts &costs);
 
     ActivityThread(const ActivityThread &) = delete;
     ActivityThread &operator=(const ActivityThread &) = delete;
@@ -100,7 +98,6 @@ class ActivityThread final : public ActivityClient
     ResourceManager &resources() { return resources_; }
     LayoutInflater &inflater() { return inflater_; }
     const FrameworkCosts &costs() const { return costs_; }
-    TelemetrySink &telemetry() { return *telemetry_; }
     /** @} */
 
     /** @name Activity registry
@@ -214,7 +211,6 @@ class ActivityThread final : public ActivityClient
     ResourceManager resources_;
     LayoutInflater inflater_;
     FrameworkCosts costs_;
-    TelemetrySink *telemetry_;
     Looper ui_looper_;
     Looper worker_looper_;
     ActivityManager *am_ = nullptr;

@@ -6,7 +6,6 @@
 #include "app/activity_thread.h"
 #include "os/looper.h"
 #include "platform/logging.h"
-#include "platform/tracing.h"
 
 namespace rchdroid {
 
@@ -29,18 +28,7 @@ AsyncTask::execute(SimDuration background_duration,
     // One tracer flow id follows the whole task: flow-start here at the
     // execute site, a step at the worker dispatch (causal_continues), a
     // step at the result post, and the flow-end at onPostExecute.
-    std::uint64_t causal_id = 0;
-#if RCHDROID_TRACING
-    if (trace::Tracer *tracer = trace::Tracer::current()) {
-        if (Looper *producer = Looper::current();
-            producer != nullptr && producer->isDispatching()) {
-            causal_id = tracer->newFlowId();
-            tracer->flowAt(trace::Phase::kFlowStart, tracer->currentLane(),
-                           tracer->now(), causal_id, name_,
-                           /*bind_enclosing=*/false);
-        }
-    }
-#endif
+    const std::uint64_t causal_id = beginTraceFlow(Looper::current(), name_);
     Message work;
     work.callback =
         [self, on_post = std::move(on_post_execute), ui_cost, causal_id] {

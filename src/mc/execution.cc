@@ -1,5 +1,7 @@
 #include "mc/execution.h"
 
+#include <optional>
+
 #include "mc/state_hash.h"
 #include "platform/logging.h"
 
@@ -51,20 +53,28 @@ runExecution(const ExecutionOptions &options)
     RCH_ASSERT(options.scenario != nullptr, "runExecution without scenario");
     const Scenario &scenario = *options.scenario;
 
-    // Install the checker's hooks BEFORE the system exists: the
-    // system's own ScopedAnalyzer defers to them, which both routes
-    // every event through our footprint recorder and keeps the
-    // environment's abort-on-violation default from killing the run.
-    McHooks hooks(options.run_analysis);
-    ScopedMcHooks hooks_guard(hooks);
+    // Subscribe the footprint recorder and our analyzer (abort off)
+    // BEFORE the system exists, so they see its construction too. The
+    // system brings no analyzer of its own: with the environment's
+    // abort-on-violation default it would kill the run, and with
+    // run_analysis off no analyzer may run at all.
+    FootprintRecorder footprint;
+    obs::Subscription footprint_subscription(footprint);
+    std::optional<analysis::Analyzer> analyzer;
+    std::optional<obs::Subscription> analyzer_subscription;
+    if (options.run_analysis)
+        analyzer_subscription.emplace(analyzer.emplace());
 
-    sim::AndroidSystem system(scenario.make_options());
+    sim::SystemOptions system_options = scenario.make_options();
+    system_options.analysis_enabled = false;
+    sim::AndroidSystem system(system_options);
     scenario.setup(system);
 
+    const analysis::Analyzer *checker = analyzer ? &*analyzer : nullptr;
     std::vector<std::unique_ptr<Oracle>> oracles = makeOracles(
         options.oracles.empty() ? defaultOracleNames() : options.oracles);
     for (auto &oracle : oracles)
-        oracle->onStart(system, hooks);
+        oracle->onStart(system, checker);
 
     ExecutionResult result;
     SimScheduler &scheduler = system.scheduler();
@@ -74,7 +84,7 @@ runExecution(const ExecutionOptions &options)
 
     const auto evaluate = [&]() -> bool {
         for (auto &oracle : oracles) {
-            if (auto violation = oracle->afterStep(system, hooks)) {
+            if (auto violation = oracle->afterStep(system, checker)) {
                 result.violations.push_back(*violation);
                 return true;
             }
@@ -122,7 +132,7 @@ runExecution(const ExecutionOptions &options)
         const ChoiceOption &option = choice_options[chosen];
         if (option.kind == ChoiceOption::Kind::EndWindow)
             break;
-        hooks.beginStep();
+        footprint.beginStep();
         if (option.kind == ChoiceOption::Kind::Injection) {
             applyInjection(system, option.injection);
             ++injections_used;
@@ -134,9 +144,9 @@ runExecution(const ExecutionOptions &options)
         if (!result.choice_points.empty() &&
             result.choice_points.size() >= options.known_states) {
             ChoicePoint &last = result.choice_points.back();
-            last.segment_footprint.insert(hooks.footprint().begin(),
-                                          hooks.footprint().end());
-            last.segment.merge(hooks.segment());
+            last.segment_footprint.insert(footprint.footprint().begin(),
+                                          footprint.footprint().end());
+            last.segment.merge(footprint.segment());
         }
         violated = evaluate();
     }

@@ -32,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "mc/hooks.h"
+#include "mc/footprint.h"
 #include "mc/oracles.h"
 #include "mc/scenario.h"
 #include "os/scheduler.h"

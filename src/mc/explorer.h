@@ -13,7 +13,8 @@
  *    are global (they touch the ATMS and every app) and are never
  *    slept. Footprints are observed dynamically per branch — the
  *    classical static independence relation is replaced by what the
- *    McHooks actually saw, which is exact for replayed prefixes.
+ *    FootprintRecorder actually saw, which is exact for replayed
+ *    prefixes.
  *
  *  - Visited-state pruning: the canonical fingerprint
  *    (src/mc/state_hash.h) keyed with (remaining depth, remaining

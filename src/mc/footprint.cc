@@ -1,0 +1,37 @@
+#include "mc/footprint.h"
+
+#include "os/looper.h"
+
+namespace rchdroid::mc {
+
+void
+FootprintRecorder::onMessageSend(Looper &target, std::uint64_t msg_id,
+                                 SimTime when, const std::string &tag)
+{
+    (void)msg_id;
+    (void)tag;
+    footprint_.insert(target.name());
+    segment_.posts.insert({target.name(), when});
+}
+
+void
+FootprintRecorder::onDispatchBegin(Looper &looper, std::uint64_t msg_id,
+                                   const std::string &tag)
+{
+    (void)msg_id;
+    footprint_.insert(looper.name());
+    segment_.classes.insert(looper.name() + "#" + tag);
+}
+
+void
+FootprintRecorder::onSyncBarrier(const void *scope, const char *label)
+{
+    (void)scope;
+    (void)label;
+    // A barrier is global synchronisation: conservatively poison the
+    // footprint so the step is treated as dependent with everything.
+    footprint_.insert("<barrier>");
+    segment_.barrier = true;
+}
+
+} // namespace rchdroid::mc

@@ -35,7 +35,7 @@ class CrashOracle final : public Oracle
     const char *name() const override { return "crash"; }
 
     std::optional<McViolation>
-    afterStep(sim::AndroidSystem &system, McHooks &) override
+    afterStep(sim::AndroidSystem &system, const analysis::Analyzer *) override
     {
         for (const auto &[process, app] : system.installedApps()) {
             if (!app->thread->crashed())
@@ -61,18 +61,18 @@ class AnalysisOracle final : public Oracle
     const char *name() const override { return "analysis"; }
 
     void
-    onStart(sim::AndroidSystem &, McHooks &hooks) override
+    onStart(sim::AndroidSystem &,
+            const analysis::Analyzer *analyzer) override
     {
         // Setup runs uncontrolled; findings there are not schedule
         // dependent, so only count what the controlled window adds.
-        baseline_ =
-            hooks.analyzer() ? hooks.analyzer()->sink().totalCount() : 0;
+        baseline_ = analyzer ? analyzer->sink().totalCount() : 0;
     }
 
     std::optional<McViolation>
-    afterStep(sim::AndroidSystem &system, McHooks &hooks) override
+    afterStep(sim::AndroidSystem &system,
+              const analysis::Analyzer *analyzer) override
     {
-        analysis::Analyzer *analyzer = hooks.analyzer();
         if (!analyzer || analyzer->sink().totalCount() <= baseline_)
             return std::nullopt;
         McViolation violation;
@@ -101,7 +101,7 @@ class GcLiveAsyncOracle final : public Oracle
     const char *name() const override { return "gc_live_async"; }
 
     void
-    onStart(sim::AndroidSystem &system, McHooks &) override
+    onStart(sim::AndroidSystem &system, const analysis::Analyzer *) override
     {
         for (const auto &[process, app] : system.installedApps()) {
             if (app->handler)
@@ -110,7 +110,7 @@ class GcLiveAsyncOracle final : public Oracle
     }
 
     std::optional<McViolation>
-    afterStep(sim::AndroidSystem &system, McHooks &) override
+    afterStep(sim::AndroidSystem &system, const analysis::Analyzer *) override
     {
         for (const auto &[process, app] : system.installedApps()) {
             if (!app->handler)
@@ -159,14 +159,14 @@ class SavedRestoreOracle final : public Oracle
     const char *name() const override { return "saved_restore"; }
 
     void
-    onStart(sim::AndroidSystem &system, McHooks &) override
+    onStart(sim::AndroidSystem &system, const analysis::Analyzer *) override
     {
         last_resumed_ =
             system.trace().countOfKind(kinds::kAtmsActivityResumed);
     }
 
     std::optional<McViolation>
-    afterStep(sim::AndroidSystem &system, McHooks &) override
+    afterStep(sim::AndroidSystem &system, const analysis::Analyzer *) override
     {
         const std::size_t resumed =
             system.trace().countOfKind(kinds::kAtmsActivityResumed);

@@ -3,15 +3,15 @@
  * Safety oracles the explorer evaluates after every controlled step.
  *
  * An oracle is a pure observer: it reads the AndroidSystem under test
- * (and the McHooks analyzer) and reports the first property violation
+ * (and the explorer's analyzer) and reports the first property violation
  * it sees. Oracles must be deterministic functions of the simulator
  * state so a replayed schedule reproduces exactly the same finding.
  *
  * The built-in set ("default oracles"):
  *  - "crash"          any installed app process crashed;
  *  - "analysis"       the PR-1 race detector / lifecycle checker (run
- *                     on every explored schedule through McHooks)
- *                     reported a violation;
+ *                     on every explored schedule by the explorer's
+ *                     own analyzer) reported a violation;
  *  - "gc_live_async"  the shadow GC reclaimed an activity that a still
  *                     Pending/Running AsyncTask targets — the data-loss
  *                     class the seeded-bug scenario plants;
@@ -34,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "mc/hooks.h"
+#include "analysis/analyzer.h"
 #include "platform/time.h"
 #include "sim/android_system.h"
 
@@ -59,16 +59,21 @@ class Oracle
 
     virtual const char *name() const = 0;
 
-    /** Called once after scenario setup, before the controlled window. */
-    virtual void onStart(sim::AndroidSystem &system, McHooks &hooks)
+    /**
+     * Called once after scenario setup, before the controlled window.
+     * `analyzer` is the explorer's, null when analysis is off.
+     */
+    virtual void onStart(sim::AndroidSystem &system,
+                         const analysis::Analyzer *analyzer)
     {
         (void)system;
-        (void)hooks;
+        (void)analyzer;
     }
 
     /** Called after every controlled step; first finding wins. */
     virtual std::optional<McViolation>
-    afterStep(sim::AndroidSystem &system, McHooks &hooks) = 0;
+    afterStep(sim::AndroidSystem &system,
+              const analysis::Analyzer *analyzer) = 0;
 };
 
 /**

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "os/analysis_hooks.h"
+#include "os/observer.h"
 #include "platform/logging.h"
 #include "platform/metrics.h"
 #include "platform/tracing.h"
@@ -15,16 +15,14 @@ thread_local Looper *Looper::current_ = nullptr;
 Looper::Looper(SimScheduler &scheduler, std::string name)
     : scheduler_(scheduler), name_(std::move(name))
 {
-    if (auto *hooks = analysis::hooks())
-        hooks->onLooperCreated(*this);
+    obs::notify(&obs::Observer::onLooperCreated, *this);
 }
 
 Looper::~Looper()
 {
     if (wakeup_event_ != kInvalidEventId)
         scheduler_.cancel(wakeup_event_);
-    if (auto *hooks = analysis::hooks())
-        hooks->onLooperDestroyed(*this);
+    obs::notify(&obs::Observer::onLooperDestroyed, *this);
 }
 
 void
@@ -32,8 +30,8 @@ Looper::enqueue(Message msg)
 {
     msg.when = std::max(msg.when, scheduler_.now());
     msg.analysis_id = ++next_msg_id_;
-    if (auto *hooks = analysis::hooks())
-        hooks->onMessageSend(*this, msg.analysis_id, msg.when, msg.tag);
+    obs::notify(&obs::Observer::onMessageSend, *this, msg.analysis_id,
+                msg.when, msg.tag);
 #if RCHDROID_TRACING
     // Producer side of the causal flow edge. Three cases:
     //  - posted from inside some looper's dispatch: fresh flow id, and
@@ -57,11 +55,8 @@ Looper::enqueue(Message msg)
                                msg.tag.empty() ? "post" : msg.tag,
                                /*bind_enclosing=*/false);
         } else if (in_dispatch) {
-            msg.causal_id = tracer->newFlowId();
-            tracer->flowAt(trace::Phase::kFlowStart, tracer->currentLane(),
-                           tracer->now(), msg.causal_id,
-                           msg.tag.empty() ? "post" : msg.tag,
-                           /*bind_enclosing=*/false);
+            msg.causal_id = beginTraceFlow(producer,
+                                           msg.tag.empty() ? "post" : msg.tag);
         } else if (tracer->pendingCausal() != 0) {
             msg.causal_id = tracer->pendingCausal();
         }
@@ -155,8 +150,8 @@ Looper::onWakeup()
     current_tag_ = std::move(msg->tag);
     Looper *previous_current = current();
     setCurrent(this);
-    if (auto *hooks = analysis::hooks())
-        hooks->onDispatchBegin(*this, msg->analysis_id, current_tag_);
+    obs::notify(&obs::Observer::onDispatchBegin, *this, msg->analysis_id,
+                current_tag_);
 #if RCHDROID_TRACING
     // One thread-local load each for the registry and the tracer; the
     // pointers are reused after the callback so the per-dispatch cost
@@ -196,10 +191,10 @@ Looper::onWakeup()
 
     msg->callback();
 
-    if (auto *hooks = analysis::hooks())
-        hooks->onDispatchEnd(*this);
-    setCurrent(previous_current);
     busy_until_ = current_start_ + current_cost_;
+    obs::notify(&obs::Observer::onDispatchEnd, *this, current_start_,
+                busy_until_);
+    setCurrent(previous_current);
     total_busy_ += current_cost_;
     ++dispatched_;
 #if RCHDROID_TRACING
@@ -212,13 +207,28 @@ Looper::onWakeup()
         tracer->setCurrentLane(previous_lane);
     }
 #endif
-    if (observer_ && current_cost_ > 0) {
-        observer_->onBusyInterval(name_, current_start_, busy_until_,
-                                  current_tag_);
-    }
     dispatching_ = false;
     current_tag_.clear();
     armWakeup();
+}
+
+std::uint64_t
+beginTraceFlow(const Looper *producer, const std::string &name)
+{
+#if RCHDROID_TRACING
+    trace::Tracer *tracer = trace::Tracer::current();
+    if (tracer == nullptr || producer == nullptr ||
+        !producer->isDispatching())
+        return 0;
+    const std::uint64_t id = tracer->newFlowId();
+    tracer->flowAt(trace::Phase::kFlowStart, tracer->currentLane(),
+                   tracer->now(), id, name, /*bind_enclosing=*/false);
+    return id;
+#else
+    (void)producer;
+    (void)name;
+    return 0;
+#endif
 }
 
 } // namespace rchdroid

@@ -25,21 +25,6 @@
 namespace rchdroid {
 
 /**
- * Callback interface for CPU accounting: receives every busy interval a
- * looper executes. The sim::CpuTracker implements this to produce the
- * CPU-usage-over-time series in Fig. 9.
- */
-class BusyObserver
-{
-  public:
-    virtual ~BusyObserver() = default;
-
-    /** A message with `tag` occupied [start, end) of thread time. */
-    virtual void onBusyInterval(const std::string &looper_name, SimTime start,
-                                SimTime end, const std::string &tag) = 0;
-};
-
-/**
  * A serialised virtual thread on top of SimScheduler.
  */
 class Looper
@@ -101,9 +86,6 @@ class Looper
     std::size_t removeByToken(const void *token);
     std::size_t removeByWhat(const void *token, int what);
 
-    /** Attach/detach the CPU accounting observer (not owned). */
-    void setBusyObserver(BusyObserver *observer) { observer_ = observer; }
-
     /** Queue depth (diagnostics). */
     std::size_t queuedMessages() const { return queue_.size(); }
 
@@ -132,7 +114,6 @@ class Looper
     SimScheduler &scheduler_;
     std::string name_;
     MessageQueue queue_;
-    BusyObserver *observer_ = nullptr;
 
     /** End of the most recent message's cost window. */
     SimTime busy_until_ = 0;
@@ -155,6 +136,15 @@ class Looper
      */
     static thread_local Looper *current_;
 };
+
+/**
+ * Start a trace flow at a post site: when a tracer is installed and
+ * `producer` is dispatching, emit a flow-start named `name` on the
+ * current lane and return its id. Returns 0 otherwise, and always under
+ * RCHDROID_TRACING=OFF. The message or binder leg posted next carries
+ * the id to its consumer.
+ */
+std::uint64_t beginTraceFlow(const Looper *producer, const std::string &name);
 
 } // namespace rchdroid
 

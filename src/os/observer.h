@@ -1,23 +1,32 @@
 /**
  * @file
- * The instrumentation seam between the simulated framework and the
- * analysis subsystem (src/analysis/).
+ * The observer seam: the one way the simulated framework reports what
+ * it does.
  *
- * Lower layers (os/, view/, app/, ams/, rch/) report notable events —
- * looper message sends and dispatches, shared-state accesses, lifecycle
- * transitions, synchronisation barriers — through the Hooks interface
- * installed here. When no hooks are installed every call site reduces to
- * one pointer load and a branch, so release-mode simulation pays
- * essentially nothing.
+ * Lower layers (os/, view/, app/, ams/, rch/) notify this thread's
+ * chain of Observers of looper message sends and dispatches (each
+ * dispatch end carries the busy interval it occupied), shared-state
+ * accesses, lifecycle transitions, synchronisation barriers and
+ * telemetry events. Every consumer is a subscriber:
+ *  - analysis::Analyzer, the race detector and lifecycle checker;
+ *  - mc::FootprintRecorder, the model checker's record of what a step
+ *    touched;
+ *  - each sim::AndroidSystem, which passes its TraceRecorder and
+ *    CpuTracker the events that came from its own scheduler.
+ * With nobody subscribed, a site costs one thread-local load and a
+ * branch.
  *
- * The seam deliberately lives in os/ (the lowest instrumented layer) and
- * speaks in opaque identities (`const void *`) plus raw enum values, so
- * that os/ never depends on the higher layers whose objects it reports
- * about. The analysis library casts identities back to the types it
- * knows (it links against all instrumented layers).
+ * The seam lives in os/ (the lowest instrumented layer) and speaks in
+ * opaque identities (`const void *`) plus raw enum values, so that os/
+ * never depends on the higher layers whose objects it reports about.
+ * The analysis library casts identities back to the types it knows.
+ *
+ * trace::Tracer and metrics::MetricsRegistry are not on the chain: their
+ * call sites compile out under RCHDROID_TRACING=OFF, and the chain is
+ * always compiled (DESIGN.md §10).
  */
-#ifndef RCHDROID_OS_ANALYSIS_HOOKS_H
-#define RCHDROID_OS_ANALYSIS_HOOKS_H
+#ifndef RCHDROID_OS_OBSERVER_H
+#define RCHDROID_OS_OBSERVER_H
 
 #include <cstdint>
 #include <string>
@@ -28,12 +37,14 @@
 namespace rchdroid {
 
 class Looper;
+class SimScheduler;
+struct TelemetryEvent;
 
-namespace analysis {
+namespace obs {
 
 /**
- * Receiver of framework instrumentation events. All methods default to
- * no-ops so implementations override only what they consume.
+ * Receiver of framework events. Every method defaults to a no-op, so a
+ * subscriber overrides only what it consumes.
  *
  * Identity conventions:
  *  - loopers are passed as Looper& (os-level type, always available);
@@ -42,10 +53,10 @@ namespace analysis {
  *  - lifecycle states as their raw std::uint8_t enum values (os/ cannot
  *    see app/lifecycle.h; the analysis layer casts back).
  */
-class Hooks
+class Observer
 {
   public:
-    virtual ~Hooks() = default;
+    virtual ~Observer() = default;
 
     /** @name Looper (simulated thread) events
      * @{
@@ -67,8 +78,13 @@ class Hooks
     virtual void onDispatchBegin(Looper &looper, std::uint64_t msg_id,
                                  const std::string &tag)
     { (void)looper; (void)msg_id; (void)tag; }
-    /** The in-flight dispatch on `looper` completed. */
-    virtual void onDispatchEnd(Looper &looper) { (void)looper; }
+    /**
+     * The in-flight dispatch on `looper` completed. It kept the thread
+     * busy over [start, end), empty for a message that cost nothing;
+     * looper.currentTag() still names the message.
+     */
+    virtual void onDispatchEnd(Looper &looper, SimTime start, SimTime end)
+    { (void)looper; (void)start; (void)end; }
     /** @} */
 
     /**
@@ -135,30 +151,71 @@ class Hooks
     virtual void onAppCodeBegin() {}
     virtual void onAppCodeEnd() {}
     /** @} */
+
+    /**
+     * A telemetry event from code running on `source`. Several systems
+     * may live on one thread; each keeps only its own scheduler's
+     * events.
+     */
+    virtual void onTelemetry(const SimScheduler &source,
+                             const TelemetryEvent &event)
+    { (void)source; (void)event; }
+};
+
+/**
+ * RAII membership of this thread's chain. Construction links the
+ * observer in front of every earlier subscriber; destruction unlinks
+ * the node wherever it sits, so subscriptions may end in any order
+ * (a system built before the previous one is destroyed, say).
+ *
+ * The chain is thread-local: independent simulations on parallel
+ * experiment worker threads each see only their own subscribers.
+ */
+class Subscription
+{
+  public:
+    explicit Subscription(Observer &observer);
+    ~Subscription();
+
+    Subscription(const Subscription &) = delete;
+    Subscription &operator=(const Subscription &) = delete;
+
+    Observer &observer() const { return observer_; }
+    /** The next older subscription, or null. */
+    Subscription *next() const { return next_; }
+
+  private:
+    Observer &observer_;
+    /** Newer neighbour (null at the head) and older one. */
+    Subscription *prev_ = nullptr;
+    Subscription *next_ = nullptr;
 };
 
 namespace detail {
-/** The installed hooks, or null. Use hooks()/setHooks(), not this. */
-extern thread_local Hooks *g_hooks;
+/** Newest subscription. Use head(), not this. */
+extern thread_local Subscription *g_head;
 } // namespace detail
 
-/** The installed hooks instance, or null when analysis is off. */
-RCHDROID_NO_SANITIZE_NULL inline Hooks *
-hooks()
+/** This thread's newest subscription, or null when nobody listens. */
+RCHDROID_NO_SANITIZE_NULL inline Subscription *
+head()
 {
-    return detail::g_hooks;
+    return detail::g_head;
 }
 
 /**
- * Install (or, with null, remove) this thread's hooks. The seam is
- * thread-local so independent simulations on parallel experiment worker
- * threads each see only their own analyzer; one simulation is still
- * single-threaded. Callers are expected to scope installation RAII-
- * style (see analysis::ScopedAnalyzer).
+ * Deliver one event to every subscriber, newest first:
+ * `notify(&Observer::onObjectGone, this)`.
  */
-void setHooks(Hooks *hooks);
+template <typename... Params, typename... Args>
+inline void
+notify(void (Observer::*event)(Params...), Args &&...args)
+{
+    for (Subscription *node = head(); node != nullptr; node = node->next())
+        (node->observer().*event)(args...);
+}
 
-} // namespace analysis
+} // namespace obs
 } // namespace rchdroid
 
-#endif // RCHDROID_OS_ANALYSIS_HOOKS_H
+#endif // RCHDROID_OS_OBSERVER_H

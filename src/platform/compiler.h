@@ -9,7 +9,7 @@
  * Disable -fsanitize=null instrumentation for one function.
  *
  * Applied to the tiny accessors that read/write the simulator's
- * thread-local seams (Looper::current_, analysis::detail::g_hooks, the
+ * thread-local seams (Looper::current_, obs::detail::g_head, the
  * log quiet flag). The address of a thread_local can never be null, so
  * the check is vacuous — and GCC 12 miscompiles it: the address test
  * is emitted as `lea` (which leaves EFLAGS untouched) followed by a

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "platform/status.h"
@@ -32,6 +33,12 @@ bool startsWith(const std::string &text, const std::string &prefix);
  */
 Result<std::int64_t> parseInteger(const std::string &text, std::int64_t min,
                                   std::int64_t max, const std::string &what);
+
+/**
+ * Escape `text` for use inside a JSON string literal: quotes,
+ * backslashes, \n \t \r, and every other control character as \u00XX.
+ */
+std::string jsonEscape(std::string_view text);
 
 /** Fixed-point formatting, e.g. formatDouble(1.2345, 2) == "1.23". */
 std::string formatDouble(double value, int decimals);

@@ -1,105 +1,49 @@
 #include "platform/telemetry.h"
 
-#include <deque>
-#include <mutex>
 #include <ostream>
-#include <string>
-#include <unordered_map>
 
 namespace rchdroid {
-namespace {
-
-/**
- * Process-wide intern table. The deque gives names stable addresses so
- * str() can hand out references without holding the lock across the
- * caller's use. Seeded with the well-known framework kinds at the exact
- * indices the kinds:: constants wrap; a unit test cross-checks the two.
- *
- * The mutex makes interning and lookup safe under the bench
- * ParallelRunner, which runs independent simulated systems on real
- * threads; the hot emission paths never touch it because they pass the
- * pre-interned constants around by value.
- */
-struct InternTable
-{
-    std::mutex mu;
-    std::deque<std::string> names;
-    std::unordered_map<std::string_view, std::uint32_t> ids;
-
-    InternTable()
-    {
-        static constexpr const char *kSeed[] = {
-            "",
-            "atms.configChange",
-            "atms.activityResumed",
-            "atms.relaunch",
-            "atms.shadowHandling",
-            "atms.back",
-            "atms.activityDestroyed",
-            "atms.shadowReclaimed",
-            "atms.processCrashed",
-            "atms.coinFlip",
-            "atms.sunnyCreate",
-            "app.resumed",
-            "app.crash",
-            "app.asyncStarted",
-            "app.asyncFinished",
-            "app.windowLeaked",
-            "activity.resumed",
-            "activity.destroyed",
-            "activity.enterShadow",
-            "activity.flipToSunny",
-        };
-        static_assert(sizeof(kSeed) / sizeof(kSeed[0]) ==
-                          kinds::kFirstDynamicId,
-                      "seed table must match the kinds:: id block");
-        for (const char *name : kSeed) {
-            names.emplace_back(name);
-            // Key views into the deque-owned strings: stable storage.
-            ids.emplace(names.back(), static_cast<std::uint32_t>(names.size() - 1));
-        }
-    }
-
-    static InternTable &instance()
-    {
-        static InternTable table;
-        return table;
-    }
-};
-
-} // namespace
-
-std::uint32_t
-TelemetryKind::intern(std::string_view name)
-{
-    InternTable &table = InternTable::instance();
-    std::lock_guard<std::mutex> lock(table.mu);
-    auto it = table.ids.find(name);
-    if (it != table.ids.end()) {
-        return it->second;
-    }
-    table.names.emplace_back(name);
-    const auto id = static_cast<std::uint32_t>(table.names.size() - 1);
-    table.ids.emplace(table.names.back(), id);
-    return id;
-}
 
 const std::string &
-TelemetryKind::str() const
+telemetryKindName(TelemetryKind kind)
 {
-    InternTable &table = InternTable::instance();
-    std::lock_guard<std::mutex> lock(table.mu);
-    if (id_ < table.names.size()) {
-        return table.names[id_];
-    }
-    static const std::string kUnknown = "<unknown-kind>";
-    return kUnknown;
+    // Indexed by TelemetryKind; the names are the CSV, trace and
+    // dumpsys spelling of each kind.
+    static const std::string kNames[] = {
+        "",
+        "atms.configChange",
+        "atms.activityResumed",
+        "atms.relaunch",
+        "atms.shadowHandling",
+        "atms.back",
+        "atms.activityDestroyed",
+        "atms.shadowReclaimed",
+        "atms.processCrashed",
+        "atms.coinFlip",
+        "atms.sunnyCreate",
+        "app.resumed",
+        "app.crash",
+        "app.asyncStarted",
+        "app.asyncFinished",
+        "app.windowLeaked",
+        "activity.resumed",
+        "activity.destroyed",
+        "activity.enterShadow",
+        "activity.flipToSunny",
+        "analysis.DataRace",
+        "analysis.LifecycleTransition",
+        "analysis.LifecycleInvariant",
+        "analysis.DestroyedViewMutation",
+    };
+    static_assert(sizeof(kNames) / sizeof(kNames[0]) == kTelemetryKindCount,
+                  "one name per TelemetryKind");
+    return kNames[static_cast<std::size_t>(kind)];
 }
 
 std::ostream &
-operator<<(std::ostream &os, const TelemetryKind &kind)
+operator<<(std::ostream &os, TelemetryKind kind)
 {
-    return os << kind.str();
+    return os << telemetryKindName(kind);
 }
 
 } // namespace rchdroid

@@ -1,143 +1,88 @@
 /**
  * @file
- * Telemetry: a minimal event bus the framework layers report into and the
- * experiment harness records from.
+ * Telemetry: the timestamped framework events the experiment harness
+ * records.
  *
  * The paper's headline metric — "the time between the configuration
  * change arriving at the ATMS and the corresponding activity resumed" —
  * is computed by the sim layer from events emitted here by the ATMS and
- * the ActivityThread.
+ * the ActivityThread. Emitters hand each event to the observer chain
+ * (os/observer.h), tagged with the scheduler it came from.
  *
- * Event kinds are interned: the framework's well-known dotted names
- * ("atms.configChange", "app.resumed", ...) carry fixed ids the hot
- * emission paths pass around as 4-byte handles, so emitting an event no
- * longer allocates a std::string per occurrence. The dotted-name API
- * survives at the edges — any string converts to a TelemetryKind (and
- * back via str()) through a process-wide intern table.
+ * The kinds form a closed set: TelemetryKind is an enum, and
+ * telemetryKindName() maps each to its dotted name ("atms.configChange",
+ * "app.resumed", ...). No string converts to a kind, so a misspelt kind
+ * does not compile.
  */
 #ifndef RCHDROID_PLATFORM_TELEMETRY_H
 #define RCHDROID_PLATFORM_TELEMETRY_H
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 
 #include "platform/time.h"
 
 namespace rchdroid {
 
-/**
- * An interned event-kind handle: 4 bytes, trivially copyable, backed by
- * a process-wide string table. Construction from a string interns (hash
- * lookup, no allocation for known names); the well-known framework kinds
- * in rchdroid::kinds are pre-interned constants, so hot emitters pay
- * nothing at all.
- */
-class TelemetryKind
-{
-  public:
-    constexpr TelemetryKind() = default;
-    /** Intern a dotted name (edge API; prefer the kinds:: constants). */
-    TelemetryKind(const char *name) : id_(intern(name)) {}
-    TelemetryKind(const std::string &name) : id_(intern(name)) {}
-    /** Wrap a known id (the kinds:: constants). */
-    constexpr explicit TelemetryKind(std::uint32_t id) : id_(id) {}
-
-    std::uint32_t id() const { return id_; }
-    /** The dotted name this id was interned from. */
-    const std::string &str() const;
-
-    bool operator==(const TelemetryKind &other) const
-    {
-        return id_ == other.id_;
-    }
-    bool operator!=(const TelemetryKind &other) const
-    {
-        return id_ != other.id_;
-    }
-
-  private:
-    static std::uint32_t intern(std::string_view name);
-
-    std::uint32_t id_ = 0;
+/** Every kind the framework emits; kNone is the default. */
+enum class TelemetryKind : std::uint8_t {
+    kNone,
+    kAtmsConfigChange,
+    kAtmsActivityResumed,
+    kAtmsRelaunch,
+    kAtmsShadowHandling,
+    kAtmsBack,
+    kAtmsActivityDestroyed,
+    kAtmsShadowReclaimed,
+    kAtmsProcessCrashed,
+    kAtmsCoinFlip,
+    kAtmsSunnyCreate,
+    kAppResumed,
+    kAppCrash,
+    kAppAsyncStarted,
+    kAppAsyncFinished,
+    kAppWindowLeaked,
+    kActivityResumed,
+    kActivityDestroyed,
+    kActivityEnterShadow,
+    kActivityFlipToSunny,
+    /** A finding of the system's own analyzer, one per ViolationKind. */
+    kAnalysisDataRace,
+    kAnalysisLifecycleTransition,
+    kAnalysisLifecycleInvariant,
+    kAnalysisDestroyedViewMutation,
 };
 
-/** gtest/iostream support: prints the dotted name. */
-std::ostream &operator<<(std::ostream &os, const TelemetryKind &kind);
+inline constexpr std::size_t kTelemetryKindCount =
+    static_cast<std::size_t>(TelemetryKind::kAnalysisDestroyedViewMutation) +
+    1;
 
-/**
- * Pre-interned ids of every kind the framework emits. The table in
- * telemetry.cc seeds these names at the matching indices; telemetry
- * tests assert the two stay in sync.
- */
+/** The kinds by their short names: kinds::kAtmsConfigChange, ... */
 namespace kinds {
-inline constexpr TelemetryKind kNone{std::uint32_t{0}};
-inline constexpr TelemetryKind kAtmsConfigChange{std::uint32_t{1}};
-inline constexpr TelemetryKind kAtmsActivityResumed{std::uint32_t{2}};
-inline constexpr TelemetryKind kAtmsRelaunch{std::uint32_t{3}};
-inline constexpr TelemetryKind kAtmsShadowHandling{std::uint32_t{4}};
-inline constexpr TelemetryKind kAtmsBack{std::uint32_t{5}};
-inline constexpr TelemetryKind kAtmsActivityDestroyed{std::uint32_t{6}};
-inline constexpr TelemetryKind kAtmsShadowReclaimed{std::uint32_t{7}};
-inline constexpr TelemetryKind kAtmsProcessCrashed{std::uint32_t{8}};
-inline constexpr TelemetryKind kAtmsCoinFlip{std::uint32_t{9}};
-inline constexpr TelemetryKind kAtmsSunnyCreate{std::uint32_t{10}};
-inline constexpr TelemetryKind kAppResumed{std::uint32_t{11}};
-inline constexpr TelemetryKind kAppCrash{std::uint32_t{12}};
-inline constexpr TelemetryKind kAppAsyncStarted{std::uint32_t{13}};
-inline constexpr TelemetryKind kAppAsyncFinished{std::uint32_t{14}};
-inline constexpr TelemetryKind kAppWindowLeaked{std::uint32_t{15}};
-inline constexpr TelemetryKind kActivityResumed{std::uint32_t{16}};
-inline constexpr TelemetryKind kActivityDestroyed{std::uint32_t{17}};
-inline constexpr TelemetryKind kActivityEnterShadow{std::uint32_t{18}};
-inline constexpr TelemetryKind kActivityFlipToSunny{std::uint32_t{19}};
-/** First id handed out to dynamically interned names. */
-inline constexpr std::uint32_t kFirstDynamicId = 20;
+using enum TelemetryKind;
 } // namespace kinds
+
+/** Dotted name of a kind, e.g. "atms.configChange" ("" for kNone). */
+const std::string &telemetryKindName(TelemetryKind kind);
+
+/** gtest/iostream support: prints the dotted name. */
+std::ostream &operator<<(std::ostream &os, TelemetryKind kind);
 
 /** One timestamped occurrence. */
 struct TelemetryEvent
 {
     SimTime time = 0;
-    /** Interned kind, e.g. kinds::kAtmsConfigChange ("atms.configChange"). */
-    TelemetryKind kind;
+    TelemetryKind kind = TelemetryKind::kNone;
     /** Free-form detail, e.g. the component name or exception kind. */
     std::string detail;
     /** Optional numeric payload (bytes, counts). */
     double value = 0.0;
 
-    /** Dotted name of the kind (edge convenience). */
-    const std::string &kindName() const { return kind.str(); }
+    /** Dotted name of the kind. */
+    const std::string &kindName() const { return telemetryKindName(kind); }
 };
-
-/**
- * Receiver interface; the sim layer's TraceRecorder implements it.
- */
-class TelemetrySink
-{
-  public:
-    virtual ~TelemetrySink() = default;
-
-    virtual void record(const TelemetryEvent &event) = 0;
-};
-
-/** A sink that drops everything (default when none installed). */
-class NullTelemetrySink final : public TelemetrySink
-{
-  public:
-    void record(const TelemetryEvent &event) override { (void)event; }
-
-    /** Shared instance. */
-    static NullTelemetrySink &instance();
-};
-
-inline NullTelemetrySink &
-NullTelemetrySink::instance()
-{
-    static NullTelemetrySink sink;
-    return sink;
-}
 
 } // namespace rchdroid
 

@@ -1,6 +1,5 @@
 #include "platform/tracing.h"
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -95,43 +94,6 @@ Tracer::flowAt(Phase phase, std::uint32_t lane, SimTime ts, std::uint64_t id,
 }
 
 namespace {
-
-/** JSON string escaping: quotes, backslashes, control characters. */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** Nanoseconds -> the microsecond "ts" field Chrome expects. */
 std::string

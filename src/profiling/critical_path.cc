@@ -98,19 +98,6 @@ collectSpanSegments(const std::vector<SpanNode> &spans, int idx,
 }
 
 std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        out.push_back(c);
-    }
-    return out;
-}
-
-std::string
 pad(const std::string &text, std::size_t width)
 {
     return text.size() >= width

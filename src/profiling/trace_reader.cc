@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -283,6 +284,24 @@ numberOr(const JsonValue *value, double fallback)
                                                             : fallback;
 }
 
+/**
+ * A numeric field as an integer, `value` scaled by `scale` and rounded;
+ * 0 when absent or not a number. Nullopt when the result is not finite
+ * or exceeds 2^53 in magnitude (or is negative with `non_negative`):
+ * no tracer writes such a number, and it would overflow the integer
+ * conversion or later timestamp arithmetic.
+ */
+std::optional<std::int64_t>
+integerField(const JsonValue *value, double scale = 1.0,
+             bool non_negative = false)
+{
+    constexpr double kLimit = 9007199254740992.0; // 2^53
+    const double scaled = numberOr(value, 0) * scale;
+    if (!(std::fabs(scaled) <= kLimit) || (non_negative && scaled < 0))
+        return std::nullopt;
+    return std::llround(scaled);
+}
+
 std::string
 stringOr(const JsonValue *value, const std::string &fallback)
 {
@@ -335,25 +354,30 @@ parseChromeTrace(const std::string &json)
         const std::string ph = stringOr(entry.find("ph"), "");
         if (ph.size() != 1)
             continue;
-        const auto pid =
-            static_cast<std::int64_t>(numberOr(entry.find("pid"), 0));
-        const auto tid =
-            static_cast<std::int64_t>(numberOr(entry.find("tid"), 0));
+        // ts is microseconds with three decimals: an exact nanosecond
+        // round-trip through llround.
+        const auto pid = integerField(entry.find("pid"));
+        const auto tid = integerField(entry.find("tid"));
+        const auto ts = integerField(entry.find("ts"), 1000.0);
+        const auto id = integerField(entry.find("id"), 1.0, true);
+        if (!pid || !tid || !ts || !id) {
+            result.input = {};
+            result.error = "event " +
+                           std::to_string(&entry - events->array.data()) +
+                           ": pid, tid, ts or id out of range";
+            return result;
+        }
         const JsonValue *args = entry.find("args");
         if (ph == "M") {
             if (stringOr(entry.find("name"), "") == "thread_name" && args)
-                lane_names[{pid, tid}] = stringOr(args->find("name"), "");
+                lane_names[{*pid, *tid}] = stringOr(args->find("name"), "");
             continue;
         }
         ProfileEvent event;
         event.phase = ph[0];
-        event.lane = laneFor(pid, tid);
-        // ts is microseconds with three decimals: an exact nanosecond
-        // round-trip through llround.
-        event.ts = static_cast<SimTime>(
-            std::llround(numberOr(entry.find("ts"), 0) * 1000.0));
-        event.id =
-            static_cast<std::uint64_t>(numberOr(entry.find("id"), 0));
+        event.lane = laneFor(*pid, *tid);
+        event.ts = *ts;
+        event.id = static_cast<std::uint64_t>(*id);
         event.bind_enclosing = stringOr(entry.find("bp"), "") == "e";
         event.name = stringOr(entry.find("name"), "");
         event.cat = stringOr(entry.find("cat"), "");

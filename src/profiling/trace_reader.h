@@ -8,7 +8,9 @@
  * repo takes no third-party dependencies); it accepts general JSON
  * nested up to 64 levels deep, but only the fields the tracer emits are
  * interpreted. Timestamps come back as microseconds with three decimals
- * and are converted to the simulator's integer nanoseconds exactly.
+ * and are converted to the simulator's integer nanoseconds exactly. A
+ * pid, tid, id or timestamp (in ns) beyond 2^53 in magnitude, or a
+ * negative id, is an error rather than a silently wrapped integer.
  */
 #ifndef RCHDROID_PROFILING_TRACE_READER_H
 #define RCHDROID_PROFILING_TRACE_READER_H

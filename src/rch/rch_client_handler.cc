@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "os/analysis_hooks.h"
+#include "os/observer.h"
 #include "platform/logging.h"
 #include "platform/metrics.h"
 #include "platform/tracing.h"
@@ -162,8 +162,7 @@ RchClientHandler::performFlip(ActivityThread &thread, const LaunchArgs &args)
     // The flip is a full synchronisation point between the instances:
     // everything the displaced foreground did is ordered before anything
     // the incoming instance does from here on.
-    if (auto *hooks = analysis::hooks())
-        hooks->onSyncBarrier(&thread, "coinFlip");
+    obs::notify(&obs::Observer::onSyncBarrier, &thread, "coinFlip");
 
     Looper &ui = thread.uiLooper();
     if (ui.isDispatching())
@@ -250,8 +249,7 @@ RchClientHandler::releaseShadow(ActivityThread &thread,
     shadow->setInvalidationListener(nullptr);
     // GC barrier: the collection orders every migration the shadow
     // instance performed before any later work observes its absence.
-    if (auto *hooks = analysis::hooks())
-        hooks->onSyncBarrier(&thread, "shadowGc");
+    obs::notify(&obs::Observer::onSyncBarrier, &thread, "shadowGc");
     thread.runAppCode([&] { shadow->performDestroy(); });
     thread.dropActivity(token);
     if (auto foreground = thread.foregroundActivity()) {

@@ -1,6 +1,6 @@
 #include "rch/view_tree_mapper.h"
 
-#include "os/analysis_hooks.h"
+#include "os/observer.h"
 #include "platform/logging.h"
 
 namespace rchdroid {
@@ -11,12 +11,10 @@ ViewTreeMapper::buildMapping(Activity &sunny, Activity &shadow) const
     // The mapping rewires peer pointers across both whole trees; report
     // it as a write on each tree so a concurrent traversal elsewhere is
     // caught as a race.
-    if (auto *hooks = analysis::hooks()) {
-        hooks->onSharedAccess(&sunny.window().decorView(), "ViewTree",
-                              sunny.component(), /*is_write=*/true);
-        hooks->onSharedAccess(&shadow.window().decorView(), "ViewTree",
-                              shadow.component(), /*is_write=*/true);
-    }
+    obs::notify(&obs::Observer::onSharedAccess, &sunny.window().decorView(),
+                "ViewTree", sunny.component(), /*is_write=*/true);
+    obs::notify(&obs::Observer::onSharedAccess, &shadow.window().decorView(),
+                "ViewTree", shadow.component(), /*is_write=*/true);
     switch (strategy_) {
       case MappingStrategy::HashTable:
         return buildWithHashTable(sunny, shadow);

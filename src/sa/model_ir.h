@@ -6,7 +6,7 @@
  * three small structures the checkers reason over — without executing
  * anything and without including a single framework header (the build
  * enforces this: src/sa/ may only see spec/model headers, mirroring the
- * analysis_hooks seam discipline):
+ * observer seam discipline):
  *
  *  - a lifecycle control-flow graph derived from the Fig. 4 protocol,
  *    specialised to the handling model (stock restart teardown, RCH

@@ -1,7 +1,6 @@
 #include "sa/verdict.h"
 
-#include <cstdio>
-
+#include "platform/strings.h"
 #include "sa/dataflow.h"
 
 namespace rchdroid::sa {
@@ -16,32 +15,6 @@ AppVerdict::cleanFor(HandlingModel handling) const
             return false;
     }
     return true;
-}
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(c));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 namespace {

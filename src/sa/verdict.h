@@ -60,9 +60,6 @@ struct AppVerdict
     std::string toJson() const;
 };
 
-/** JSON string escaping (quotes, backslashes, control chars). */
-std::string jsonEscape(const std::string &text);
-
 /** Compile, solve, and check one app. */
 AppVerdict analyzeApp(const apps::AppSpec &spec);
 

@@ -69,22 +69,11 @@ class AndroidSystem::AtmsProxy final : public ActivityManager
     void
     defer(std::function<void()> fn)
     {
-        std::uint64_t causal_id = 0;
-#if RCHDROID_TRACING
         // Flow-start at the client send site (inside the app dispatch
         // that issued the IActivityTaskManager call); the ATMS-side
         // message inherits the id through the scheduler slot.
-        if (trace::Tracer *tracer = trace::Tracer::current()) {
-            if (Looper *producer = Looper::current();
-                producer != nullptr && producer->isDispatching()) {
-                causal_id = tracer->newFlowId();
-                tracer->flowAt(trace::Phase::kFlowStart,
-                               tracer->currentLane(), tracer->now(),
-                               causal_id, "binder",
-                               /*bind_enclosing=*/false);
-            }
-        }
-#endif
+        const std::uint64_t causal_id =
+            beginTraceFlow(Looper::current(), "binder");
         // Labeled "binder" for the model checker's NondetSeam. Several
         // binder legs may be tied at one instant; they share this label,
         // which the explorer treats as conservatively dependent (binder
@@ -112,7 +101,7 @@ AndroidSystem::AndroidSystem(SystemOptions options)
         analysis_guard_ =
             std::make_unique<analysis::ScopedAnalyzer>(analysis_options);
         if (analysis_guard_->installed())
-            analysis_guard_->analyzer().sink().setTelemetry(&trace_);
+            analysis_guard_->analyzer().sink().setTelemetrySource(&scheduler_);
     }
 #if RCHDROID_TRACING
     // One trace "process" per system: sequential systems in a binary
@@ -132,11 +121,9 @@ AndroidSystem::AndroidSystem(SystemOptions options)
     }
 #endif
     atms_ = std::make_unique<Atms>(scheduler_, options_.device.atms,
-                                   options_.device.binder, &trace_);
+                                   options_.device.binder);
     atms_->setMode(options_.mode);
     atms_->setInitialConfiguration(options_.native_config);
-    if (options_.record_cpu)
-        atms_->looper().setBusyObserver(&cpu_);
 }
 
 AndroidSystem::~AndroidSystem()
@@ -147,6 +134,21 @@ AndroidSystem::~AndroidSystem()
     if (trace::Tracer *tracer = trace::Tracer::current())
         tracer->clearClock();
 #endif
+}
+
+void
+AndroidSystem::onDispatchEnd(Looper &looper, SimTime start, SimTime end)
+{
+    if (&looper.scheduler() == &scheduler_ && end > start)
+        cpu_.onBusyInterval(looper.name(), start, end, looper.currentTag());
+}
+
+void
+AndroidSystem::onTelemetry(const SimScheduler &source,
+                           const TelemetryEvent &event)
+{
+    if (&source == &scheduler_)
+        trace_.record(event);
 }
 
 analysis::Analyzer *
@@ -175,7 +177,7 @@ AndroidSystem::installCustom(const CustomAppParams &params)
                          : std::make_shared<const ResourceTable>();
     installed->thread = std::make_unique<ActivityThread>(
         scheduler_, process_params, std::move(resources),
-        options_.device.resources, options_.device.framework, &trace_);
+        options_.device.resources, options_.device.framework);
     installed->thread->registerActivityFactory(params.component,
                                                params.factory);
 
@@ -192,11 +194,6 @@ AndroidSystem::installCustom(const CustomAppParams &params)
         installed->handler = std::make_unique<RchClientHandler>(options_.rch);
         installed->handler->attach(*installed->thread);
     }
-    if (options_.record_cpu) {
-        installed->thread->uiLooper().setBusyObserver(&cpu_);
-        installed->thread->workerLooper().setBusyObserver(&cpu_);
-    }
-
     auto [it, inserted] =
         apps_.emplace(params.process, std::move(installed));
     RCH_ASSERT(inserted, "duplicate install");

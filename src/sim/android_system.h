@@ -25,6 +25,7 @@
 #include "apps/corpus.h"
 #include "apps/simulated_app.h"
 #include "apps/user_driver.h"
+#include "os/observer.h"
 #include "rch/rch_client_handler.h"
 #include "sim/cpu_tracker.h"
 #include "sim/device_model.h"
@@ -43,8 +44,6 @@ struct SystemOptions
     RchConfig rch;
     /** Hardware calibration. */
     DeviceModel device = DeviceModel::rk3399();
-    /** Attach the CpuTracker to every app looper. */
-    bool record_cpu = true;
     /** Memory sampling period for startMemorySampling(). */
     SimDuration memory_sample_interval = milliseconds(10);
     /**
@@ -102,9 +101,12 @@ struct InstalledApp
 };
 
 /**
- * The simulated device.
+ * The simulated device. It subscribes to the thread's observer chain
+ * and passes its TraceRecorder and CpuTracker the telemetry and busy
+ * intervals that come from its own scheduler, so several systems can
+ * live on one thread.
  */
-class AndroidSystem
+class AndroidSystem : private obs::Observer
 {
   public:
     explicit AndroidSystem(SystemOptions options = {});
@@ -123,8 +125,8 @@ class AndroidSystem
     EnergyModel &energy() { return energy_; }
     const SystemOptions &options() const { return options_; }
     /**
-     * The analyzer this system installed, or null — analysis disabled,
-     * or another analyzer (e.g. a test's own) was installed first and
+     * The analyzer this system subscribed, or null — analysis disabled,
+     * or another analyzer (e.g. a test's own) was subscribed first and
      * keeps receiving the events.
      */
     analysis::Analyzer *analyzer();
@@ -228,17 +230,27 @@ class AndroidSystem
   private:
     class AtmsProxy;
 
+    /** @name Observer: this system's busy intervals and telemetry
+     * @{
+     */
+    void onDispatchEnd(Looper &looper, SimTime start, SimTime end) override;
+    void onTelemetry(const SimScheduler &source,
+                     const TelemetryEvent &event) override;
+    /** @} */
+
     /**
-     * Declared first so it is destroyed last: hooks must stay installed
-     * while apps_/atms_ tear down (their destructors report object-gone
-     * events). Only the scheduler and options outlive it, and neither
-     * touches the hooks.
+     * Declared first so it is destroyed last: the analyzer must stay
+     * subscribed while apps_/atms_ tear down (their destructors report
+     * object-gone events). Nothing declared before apps_/atms_ reports
+     * to the chain.
      */
     std::unique_ptr<analysis::ScopedAnalyzer> analysis_guard_;
     SystemOptions options_;
     SimScheduler scheduler_;
     TraceRecorder trace_;
     CpuTracker cpu_;
+    /** Feeds trace_ and cpu_; ends before they die, after apps_/atms_. */
+    obs::Subscription subscription_{*this};
     EnergyModel energy_;
     std::unique_ptr<Atms> atms_;
     std::map<std::string, std::unique_ptr<InstalledApp>> apps_;

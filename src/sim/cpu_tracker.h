@@ -1,6 +1,6 @@
 /**
  * @file
- * CpuTracker: collects the busy intervals of every observed looper and
+ * CpuTracker: collects the busy intervals of a system's loopers and
  * derives CPU-utilisation-over-time series — the app CPU usage curves of
  * Fig. 9.
  */
@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "os/looper.h"
+#include "platform/time.h"
 
 namespace rchdroid::sim {
 
@@ -35,13 +35,15 @@ struct UtilSample
 };
 
 /**
- * BusyObserver implementation + post-hoc analysis.
+ * Busy-interval store + post-hoc analysis. Its AndroidSystem feeds it
+ * the non-empty dispatches of the system's own loopers.
  */
-class CpuTracker final : public BusyObserver
+class CpuTracker
 {
   public:
+    /** A message with `tag` occupied [start, end) of thread time. */
     void onBusyInterval(const std::string &looper_name, SimTime start,
-                        SimTime end, const std::string &tag) override;
+                        SimTime end, const std::string &tag);
 
     const std::vector<BusyInterval> &intervals() const { return intervals_; }
     void clear() { intervals_.clear(); }

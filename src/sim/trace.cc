@@ -12,10 +12,7 @@ namespace rchdroid::sim {
 void
 TraceRecorder::record(const TelemetryEvent &event)
 {
-    const std::uint32_t id = event.kind.id();
-    if (id >= counts_.size())
-        counts_.resize(id + 1, 0);
-    ++counts_[id];
+    ++counts_[static_cast<std::size_t>(event.kind)];
 
 #if RCHDROID_TRACING
     trace::Tracer *tracer = trace::Tracer::current();
@@ -23,7 +20,7 @@ TraceRecorder::record(const TelemetryEvent &event)
     // span is currently open on the lane; the async episode endpoints
     // below use the event's semantic time instead.
     if (tracer)
-        tracer->instant(event.kind.str(), event.detail);
+        tracer->instant(event.kindName(), event.detail);
 #endif
 
     if (event.kind == kinds::kAtmsConfigChange) {
@@ -77,8 +74,7 @@ TraceRecorder::eventsOfKind(TelemetryKind kind) const
 std::size_t
 TraceRecorder::countOfKind(TelemetryKind kind) const
 {
-    const std::uint32_t id = kind.id();
-    return id < counts_.size() ? counts_[id] : 0;
+    return counts_[static_cast<std::size_t>(kind)];
 }
 
 std::optional<TelemetryEvent>

@@ -1,14 +1,15 @@
 /**
  * @file
- * TraceRecorder: the TelemetrySink that collects every framework event
- * of a run and derives the paper's metrics from them — most importantly
- * the runtime-change handling time, "the time between the configuration
- * change arriving at the ATMS and the corresponding activity resumed"
- * (§5.1).
+ * TraceRecorder: collects every telemetry event of one system's run
+ * (its AndroidSystem feeds it from the observer chain) and derives the
+ * paper's metrics from them — most importantly the runtime-change
+ * handling time, "the time between the configuration change arriving
+ * at the ATMS and the corresponding activity resumed" (§5.1).
  */
 #ifndef RCHDROID_SIM_TRACE_H
 #define RCHDROID_SIM_TRACE_H
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -48,24 +49,24 @@ struct HandlingEpisode
  * record(): harness predicates poll countOfKind()/lastHandlingMs() after
  * every scheduler step, so deriving them by rescanning the event log
  * made long-lived systems quadratic in their own history. Counts are
- * indexed by the interned kind id — no string hashing on the hot path.
+ * indexed by kind — no string hashing on the hot path.
  *
  * When a trace::Tracer is installed on the thread, record() mirrors the
  * stream into it: an instant marker per event plus an async "episode"
  * span from each configChange to its resume (or abort), which is how a
  * rotation shows up as one bar across Looper lanes in Perfetto.
  */
-class TraceRecorder final : public TelemetrySink
+class TraceRecorder
 {
   public:
-    void record(const TelemetryEvent &event) override;
+    void record(const TelemetryEvent &event);
 
     const std::vector<TelemetryEvent> &events() const { return events_; }
     void
     clear()
     {
         events_.clear();
-        counts_.clear();
+        counts_.fill(0);
         episodes_.clear();
     }
 
@@ -102,8 +103,8 @@ class TraceRecorder final : public TelemetrySink
 
   private:
     std::vector<TelemetryEvent> events_;
-    /** Incremental tallies backing countOfKind(), indexed by kind id. */
-    std::vector<std::size_t> counts_;
+    /** Incremental tallies backing countOfKind(), indexed by kind. */
+    std::array<std::size_t, kTelemetryKindCount> counts_{};
     /** Incrementally paired episodes backing handlingEpisodes(). */
     std::vector<HandlingEpisode> episodes_;
 };

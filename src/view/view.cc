@@ -2,8 +2,8 @@
 
 #include <utility>
 
-#include "os/analysis_hooks.h"
 #include "os/looper.h"
+#include "os/observer.h"
 #include "platform/logging.h"
 #include "view/view_group.h"
 
@@ -30,8 +30,7 @@ View::View(std::string id) : id_(std::move(id))
 
 View::~View()
 {
-    if (auto *hooks = analysis::hooks())
-        hooks->onObjectGone(this);
+    obs::notify(&obs::Observer::onObjectGone, this);
 }
 
 void
@@ -62,9 +61,9 @@ View::markDestroyed()
 void
 View::invalidate()
 {
-    auto *hooks = analysis::hooks();
-    if (destroyed_ && hooks)
-        hooks->onDestroyedViewMutation(this, typeName(), id_);
+    if (destroyed_)
+        obs::notify(&obs::Observer::onDestroyedViewMutation, this, typeName(),
+                    id_);
     requireAlive("invalidate");
     // Android's thread-affinity rule: only the activity (UI) thread may
     // mutate the tree. Mutations outside any dispatch (direct test
@@ -83,8 +82,8 @@ View::invalidate()
     // mutation is already rejected (and studied) as a simulated crash,
     // so the race detector's job is the accesses Android permits but
     // does not order — above all wrong-thread *reads*.
-    if (hooks)
-        hooks->onSharedAccess(this, typeName(), id_, /*is_write=*/true);
+    obs::notify(&obs::Observer::onSharedAccess, this, typeName(), id_,
+                /*is_write=*/true);
     dirty_ = true;
     ++invalidate_count_;
     if (host_)
@@ -94,8 +93,8 @@ View::invalidate()
 void
 View::noteSharedRead() const
 {
-    if (auto *hooks = analysis::hooks())
-        hooks->onSharedAccess(this, typeName(), id_, /*is_write=*/false);
+    obs::notify(&obs::Observer::onSharedAccess, this, typeName(), id_,
+                /*is_write=*/false);
 }
 
 void

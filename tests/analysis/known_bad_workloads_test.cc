@@ -5,7 +5,10 @@
  * the checkers must flag, and asserts the finding — plus one clean
  * workload asserting the checkers stay silent while demonstrably active.
  */
+#include <cstdlib>
 #include <memory>
+#include <optional>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -67,6 +70,51 @@ installStatusApp(sim::AndroidSystem &device)
     device.launchProcess("com.bad.app");
 }
 
+/**
+ * Seed a data race on `device`: the UI and worker loopers both write a
+ * view that never joined a window. Such a view has no thread affinity —
+ * Android will not reject wrong-thread writes to it, so only
+ * happens-before analysis catches the sharing bug.
+ */
+void
+provokeRace(sim::AndroidSystem &device)
+{
+    installStatusApp(device);
+    ActivityThread &thread = *device.installedProcess("com.bad.app").thread;
+    auto detached = std::make_shared<TextView>("cache");
+    thread.postAppCallback([detached] { detached->setText("ui"); });
+    thread.workerLooper().post(
+        [detached] { detached->setText("worker"); }, milliseconds(1));
+    device.runFor(milliseconds(5));
+}
+
+/** Sets an environment variable for one scope, then restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name))
+            old_ = old;
+        ::setenv(name, value, 1);
+    }
+
+    ~ScopedEnv()
+    {
+        if (old_)
+            ::setenv(name_, old_->c_str(), 1);
+        else
+            ::unsetenv(name_);
+    }
+
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
+};
+
 } // namespace
 
 TEST(KnownBadWorkloads, UnsynchronizedShadowViewAccessIsFlagged)
@@ -116,17 +164,7 @@ TEST(KnownBadWorkloads, WorkerWriteToDetachedViewIsFlagged)
     ASSERT_TRUE(guard.installed());
 
     sim::AndroidSystem device = makeDevice(RuntimeChangeMode::RchDroid);
-    installStatusApp(device);
-    ActivityThread &thread = *device.installedProcess("com.bad.app").thread;
-
-    // A view that never joined a window has no thread affinity — Android
-    // will not reject wrong-thread writes to it, so only happens-before
-    // analysis catches the sharing bug.
-    auto detached = std::make_shared<TextView>("cache");
-    thread.postAppCallback([detached] { detached->setText("ui"); });
-    thread.workerLooper().post(
-        [detached] { detached->setText("worker"); }, milliseconds(1));
-    device.runFor(milliseconds(5));
+    provokeRace(device);
 
     EXPECT_GE(guard.analyzer().sink().countOf(ViolationKind::DataRace), 1u);
 }
@@ -168,9 +206,9 @@ TEST(KnownBadWorkloads, SystemInstallsAnalyzerUnlessOneIsPresent)
         options.analysis.abort_on_violation = false;
         sim::AndroidSystem device(options);
         ASSERT_NE(device.analyzer(), nullptr);
-        EXPECT_EQ(hooks(), device.analyzer());
+        EXPECT_EQ(subscribedAnalyzer(), device.analyzer());
     }
-    EXPECT_EQ(hooks(), nullptr);
+    EXPECT_EQ(subscribedAnalyzer(), nullptr);
     {
         ScopedAnalyzer guard(recordingOptions());
         sim::SystemOptions options;
@@ -178,6 +216,55 @@ TEST(KnownBadWorkloads, SystemInstallsAnalyzerUnlessOneIsPresent)
         sim::AndroidSystem device(options);
         // The test's analyzer was first; the system defers to it.
         EXPECT_EQ(device.analyzer(), nullptr);
-        EXPECT_EQ(hooks(), &guard.analyzer());
+        EXPECT_EQ(subscribedAnalyzer(), &guard.analyzer());
+    }
+}
+
+TEST(KnownBadWorkloads, OnlyTheSystemsOwnAnalyzerWritesItsTrace)
+{
+    ScopedLogSilencer quiet;
+    // A system's own analyzer takes its abort from the environment,
+    // which every ctest run arms; this test wants the findings.
+    ScopedEnv no_abort("RCHDROID_ANALYSIS_ABORT", "0");
+    sim::SystemOptions options;
+    options.analysis_enabled = true;
+
+    {
+        // Each system brings its own analyzer (no other is subscribed
+        // first); the finding lands on the trace of the system it
+        // happened in, and nowhere else.
+        sim::AndroidSystem first(options);
+        ASSERT_NE(first.analyzer(), nullptr);
+        provokeRace(first);
+        const std::size_t races =
+            first.analyzer()->sink().countOf(ViolationKind::DataRace);
+        ASSERT_GE(races, 1u);
+        EXPECT_EQ(first.trace().countOfKind(kinds::kAnalysisDataRace), races);
+        const auto last = first.trace().lastOfKind(kinds::kAnalysisDataRace);
+        ASSERT_TRUE(last.has_value());
+        EXPECT_EQ(last->detail,
+                  first.analyzer()->sink().violations().back().summary);
+
+        // A second system on the thread defers to the first one's
+        // analyzer: what it finds there is the first system's finding,
+        // so it reaches the first system's trace, not the second's.
+        sim::AndroidSystem second(options);
+        EXPECT_EQ(second.analyzer(), nullptr);
+        provokeRace(second);
+        EXPECT_GT(first.analyzer()->sink().countOf(ViolationKind::DataRace),
+                  races);
+        EXPECT_GT(first.trace().countOfKind(kinds::kAnalysisDataRace), races);
+        EXPECT_EQ(second.trace().countOfKind(kinds::kAnalysisDataRace), 0u);
+    }
+    {
+        // The test's analyzer was first: it finds the race, and the
+        // system's trace carries no analysis event.
+        ScopedAnalyzer guard(recordingOptions());
+        sim::AndroidSystem device(options);
+        EXPECT_EQ(device.analyzer(), nullptr);
+        provokeRace(device);
+        EXPECT_GE(guard.analyzer().sink().countOf(ViolationKind::DataRace),
+                  1u);
+        EXPECT_EQ(device.trace().countOfKind(kinds::kAnalysisDataRace), 0u);
     }
 }

@@ -35,8 +35,8 @@ transition(const void *activity, const void *scope, LifecycleState from,
            LifecycleState to, const char *component = "com.t/.A",
            std::uint64_t instance = 1)
 {
-    hooks()->onLifecycleTransition(activity, scope, component, instance,
-                                   raw(from), raw(to));
+    obs::notify(&obs::Observer::onLifecycleTransition, activity, scope,
+                component, instance, raw(from), raw(to));
 }
 
 /** Walk an activity Initial → Resumed through the legal chain. */
@@ -207,7 +207,7 @@ TEST(LifecycleChecker, ActivityGoneForgetsTheInstance)
     int scope = 0;
 
     bringToForeground(&activity, &scope, "com.t/.A", 1);
-    hooks()->onActivityGone(&activity);
+    obs::notify(&obs::Observer::onActivityGone, &activity);
     // A fresh instance reusing the address starts clean: no desync, no
     // foreground conflict with the stale record.
     bringToForeground(&activity, &scope, "com.t/.A", 2);
@@ -222,7 +222,8 @@ TEST(LifecycleChecker, FrameworkDestroyedViewMutationIsFlagged)
     ASSERT_TRUE(guard.installed());
     int view = 0;
 
-    hooks()->onDestroyedViewMutation(&view, "TextView", "status");
+    obs::notify(&obs::Observer::onDestroyedViewMutation, &view, "TextView",
+                "status");
 
     const ViolationSink &sink = guard.analyzer().sink();
     ASSERT_EQ(sink.countOf(ViolationKind::DestroyedViewMutation), 1u);
@@ -239,9 +240,10 @@ TEST(LifecycleChecker, AppCodeDestroyedViewMutationIsTheStudiedBug)
 
     // Inside the crash guard, a destroyed-view touch is the app bug the
     // paper studies — counted, not reported.
-    hooks()->onAppCodeBegin();
-    hooks()->onDestroyedViewMutation(&view, "TextView", "status");
-    hooks()->onAppCodeEnd();
+    obs::notify(&obs::Observer::onAppCodeBegin);
+    obs::notify(&obs::Observer::onDestroyedViewMutation, &view, "TextView",
+                "status");
+    obs::notify(&obs::Observer::onAppCodeEnd);
 
     EXPECT_EQ(guard.analyzer().sink().totalCount(), 0u);
     EXPECT_EQ(

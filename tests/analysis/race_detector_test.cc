@@ -29,7 +29,8 @@ recordingOptions()
 void
 access(const void *object, bool is_write)
 {
-    hooks()->onSharedAccess(object, "Dummy", "obj", is_write);
+    obs::notify(&obs::Observer::onSharedAccess, object, "Dummy", "obj",
+                is_write);
 }
 
 } // namespace
@@ -126,11 +127,11 @@ TEST(RaceDetector, BarrierOrdersOtherwiseConcurrentAccesses)
     int scope = 0;
     a.post([&] {
         access(&object, /*is_write=*/true);
-        hooks()->onSyncBarrier(&scope, "test");
+        obs::notify(&obs::Observer::onSyncBarrier, &scope, "test");
     });
     b.post(
         [&] {
-            hooks()->onSyncBarrier(&scope, "test");
+            obs::notify(&obs::Observer::onSyncBarrier, &scope, "test");
             access(&object, /*is_write=*/true);
         },
         milliseconds(1));
@@ -191,7 +192,8 @@ TEST(RaceDetector, ObjectGoneDropsStaleHistory)
     a.post([&] { access(&object, /*is_write=*/true); });
     // The object dies; a fresh object at the same address must not
     // inherit the access history (ABA).
-    a.post([&] { hooks()->onObjectGone(&object); }, milliseconds(1));
+    a.post([&] { obs::notify(&obs::Observer::onObjectGone, &object); },
+           milliseconds(1));
     b.post([&] { access(&object, /*is_write=*/true); }, milliseconds(2));
     scheduler.runUntilIdle();
 
@@ -204,5 +206,5 @@ TEST(RaceDetector, SecondAnalyzerDoesNotInstall)
     ASSERT_TRUE(first.installed());
     ScopedAnalyzer second(recordingOptions());
     EXPECT_FALSE(second.installed());
-    EXPECT_EQ(hooks(), &first.analyzer());
+    EXPECT_EQ(subscribedAnalyzer(), &first.analyzer());
 }

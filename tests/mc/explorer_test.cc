@@ -8,12 +8,57 @@
  */
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "mc/execution.h"
 #include "mc/explorer.h"
 #include "mc/scenario.h"
+#include "view/text_view.h"
+#include "view/view_group.h"
 
 namespace rchdroid::mc {
 namespace {
+
+class EmptyActivity final : public Activity
+{
+  public:
+    EmptyActivity() : Activity("racy/.Main") {}
+
+  protected:
+    void
+    onCreate(const Bundle *) override
+    {
+        setContentView(std::make_unique<FrameLayout>("root"));
+    }
+};
+
+/**
+ * A data race inside the controlled window: the UI and worker loopers
+ * both write one detached view, and no message orders the two writes.
+ */
+Scenario
+racyScenario()
+{
+    Scenario scenario;
+    scenario.name = "racy";
+    scenario.make_options = [] { return sim::SystemOptions{}; };
+    scenario.setup = [](sim::AndroidSystem &system) {
+        sim::CustomAppParams params;
+        params.process = "racy";
+        params.component = "racy/.Main";
+        params.factory = [] { return std::make_unique<EmptyActivity>(); };
+        system.installCustom(params);
+        system.launchProcess("racy");
+        ActivityThread &thread = *system.installedProcess("racy").thread;
+        auto view = std::make_shared<TextView>("shared");
+        thread.postAppCallbackAt(system.scheduler().now() + milliseconds(1),
+                                 [view] { view->setText("ui"); });
+        thread.workerLooper().post([view] { view->setText("worker"); },
+                                   milliseconds(2));
+    };
+    scenario.horizon = milliseconds(10);
+    return scenario;
+}
 
 ExplorerReport
 exploreScenario(const char *name, int depth, bool reduction = true)
@@ -25,6 +70,26 @@ exploreScenario(const char *name, int depth, bool reduction = true)
     options.max_depth = depth;
     options.reduction = reduction;
     return explore(options);
+}
+
+TEST(ExplorerTest, OnlyTheExplorersAnalyzerRuns)
+{
+    // The test environment arms RCHDROID_ANALYSIS and its abort, so an
+    // analyzer of the system's own would panic on this race. The
+    // explorer's analyzer reports it instead, and with run_analysis off
+    // no analyzer runs at all.
+    const Scenario scenario = racyScenario();
+    ExecutionOptions options;
+    options.scenario = &scenario;
+    options.oracles = {"analysis"};
+    const ExecutionResult checked = runExecution(options);
+    ASSERT_EQ(checked.violations.size(), 1u);
+    EXPECT_EQ(checked.violations[0].oracle, "analysis");
+    EXPECT_NE(checked.violations[0].summary.find("TextView 'shared'"),
+              std::string::npos);
+
+    options.run_analysis = false;
+    EXPECT_TRUE(runExecution(options).violations.empty());
 }
 
 TEST(ExplorerTest, QuickstartSmallBoundIsClean)

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 
-#include "mc/hooks.h"
 #include "mc/scenario.h"
 #include "mc/state_hash.h"
 #include "sim/android_system.h"
@@ -17,14 +16,21 @@
 namespace rchdroid::mc {
 namespace {
 
+/** The scenario's system options, analyzer off as in an execution. */
+sim::SystemOptions
+withoutAnalysis(const Scenario &scenario)
+{
+    sim::SystemOptions options = scenario.make_options();
+    options.analysis_enabled = false;
+    return options;
+}
+
 /** Build the scenario's system and run its uncontrolled setup. */
 std::uint64_t
 fingerprintAfterSetup(const Scenario &scenario,
                       SimDuration extra_run = 0)
 {
-    McHooks hooks(/*run_analysis=*/false);
-    ScopedMcHooks guard(hooks);
-    sim::AndroidSystem system(scenario.make_options());
+    sim::AndroidSystem system(withoutAnalysis(scenario));
     scenario.setup(system);
     if (extra_run > 0)
         system.runFor(extra_run);
@@ -66,11 +72,9 @@ TEST(StateHashTest, ConfigurationChangeChangesTheHash)
     const Scenario *scenario = findScenario("quickstart");
     ASSERT_NE(scenario, nullptr);
 
-    McHooks hooks(/*run_analysis=*/false);
-    ScopedMcHooks guard(hooks);
-    sim::AndroidSystem plain(scenario->make_options());
+    sim::AndroidSystem plain(withoutAnalysis(*scenario));
     scenario->setup(plain);
-    sim::AndroidSystem rotated(scenario->make_options());
+    sim::AndroidSystem rotated(withoutAnalysis(*scenario));
     scenario->setup(rotated);
     applyInjection(rotated, InjectionKind::Rotate);
 

@@ -9,11 +9,13 @@
 #include <vector>
 
 #include "os/looper.h"
+#include "os/observer.h"
 
 namespace rchdroid {
 namespace {
 
-class RecordingObserver final : public BusyObserver
+/** Records every dispatch end the chain delivers. */
+class RecordingObserver final : public obs::Observer
 {
   public:
     struct Interval
@@ -25,10 +27,9 @@ class RecordingObserver final : public BusyObserver
     };
 
     void
-    onBusyInterval(const std::string &looper, SimTime start, SimTime end,
-                   const std::string &tag) override
+    onDispatchEnd(Looper &looper, SimTime start, SimTime end) override
     {
-        intervals.push_back({looper, start, end, tag});
+        intervals.push_back({looper.name(), start, end, looper.currentTag()});
     }
 
     std::vector<Interval> intervals;
@@ -111,20 +112,24 @@ TEST(Looper, ZeroDelayPostFromDispatchRunsAtCostEnd)
     EXPECT_EQ(continuation_at, milliseconds(42));
 }
 
-TEST(Looper, BusyObserverSeesIntervalsAndTags)
+TEST(Looper, DispatchEndCarriesTheBusyIntervalAndTag)
 {
     SimScheduler scheduler;
     Looper looper(scheduler, "app.main");
     RecordingObserver observer;
-    looper.setBusyObserver(&observer);
-    looper.post([] {}, 0, milliseconds(4), "launch");
-    looper.post([] {}, 0, 0, "free"); // zero-cost: not reported
+    obs::Subscription subscription(observer);
+    looper.post([&] { looper.consumeCpu(milliseconds(1)); }, 0,
+                milliseconds(4), "launch");
+    looper.post([] {}, 0, 0, "free"); // zero cost: an empty interval
     scheduler.runUntilIdle();
-    ASSERT_EQ(observer.intervals.size(), 1u);
+    ASSERT_EQ(observer.intervals.size(), 2u);
     EXPECT_EQ(observer.intervals[0].looper, "app.main");
     EXPECT_EQ(observer.intervals[0].start, 0);
-    EXPECT_EQ(observer.intervals[0].end, milliseconds(4));
+    EXPECT_EQ(observer.intervals[0].end, milliseconds(5));
     EXPECT_EQ(observer.intervals[0].tag, "launch");
+    EXPECT_EQ(observer.intervals[1].start, milliseconds(5));
+    EXPECT_EQ(observer.intervals[1].end, milliseconds(5));
+    EXPECT_EQ(observer.intervals[1].tag, "free");
 }
 
 TEST(Looper, TotalBusyTimeAccumulates)

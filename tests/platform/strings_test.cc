@@ -67,6 +67,16 @@ TEST(Strings, ParseIntegerRejectsEverythingElse)
     }
 }
 
+TEST(Strings, JsonEscapeHandlesQuotesAndControlChars)
+{
+    EXPECT_EQ(jsonEscape("plain"), "plain");
+    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
+    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
+    EXPECT_EQ(jsonEscape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
+    EXPECT_EQ(jsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
+    EXPECT_EQ(jsonEscape(std::string("\x1f\0", 2)), "\\u001f\\u0000");
+}
+
 TEST(Strings, FormatDouble)
 {
     EXPECT_EQ(formatDouble(1.2345, 2), "1.23");

@@ -1,79 +1,56 @@
 /**
  * @file
- * Telemetry bus: the null sink and event plumbing.
+ * Telemetry kinds: the closed set and its name table.
  */
 #include <gtest/gtest.h>
 
-#include <vector>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "platform/telemetry.h"
 
 namespace rchdroid {
 namespace {
 
-TEST(Telemetry, NullSinkSwallowsEverything)
+TEST(Telemetry, KindsPrintTheirDottedNames)
 {
-    NullTelemetrySink &sink = NullTelemetrySink::instance();
-    TelemetryEvent event;
-    event.kind = "anything";
-    sink.record(event); // must not blow up; shared instance is stable
-    EXPECT_EQ(&NullTelemetrySink::instance(), &sink);
+    // These spellings reach the CSV, the trace instants and dumpsys.
+    EXPECT_EQ(telemetryKindName(kinds::kNone), "");
+    EXPECT_EQ(telemetryKindName(kinds::kAtmsConfigChange),
+              "atms.configChange");
+    EXPECT_EQ(telemetryKindName(kinds::kAtmsActivityResumed),
+              "atms.activityResumed");
+    EXPECT_EQ(telemetryKindName(kinds::kAppCrash), "app.crash");
+    EXPECT_EQ(telemetryKindName(kinds::kActivityFlipToSunny),
+              "activity.flipToSunny");
+    EXPECT_EQ(telemetryKindName(kinds::kAnalysisDataRace),
+              "analysis.DataRace");
+    EXPECT_EQ(telemetryKindName(kinds::kAnalysisDestroyedViewMutation),
+              "analysis.DestroyedViewMutation");
+    std::ostringstream os;
+    os << kinds::kAtmsShadowHandling;
+    EXPECT_EQ(os.str(), "atms.shadowHandling");
 }
 
-TEST(Telemetry, WellKnownKindsInternToTheirConstants)
+TEST(Telemetry, EveryKindHasItsOwnDottedName)
 {
-    // The constexpr constants must agree with the intern table's seed
-    // order, or switch-on-id dispatch would silently misroute events.
-    EXPECT_EQ(TelemetryKind("atms.configChange"), kinds::kAtmsConfigChange);
-    EXPECT_EQ(TelemetryKind("atms.activityResumed"),
-              kinds::kAtmsActivityResumed);
-    EXPECT_EQ(TelemetryKind("atms.relaunch"), kinds::kAtmsRelaunch);
-    EXPECT_EQ(TelemetryKind("app.crash"), kinds::kAppCrash);
-    EXPECT_EQ(kinds::kAtmsConfigChange.str(), "atms.configChange");
-    EXPECT_EQ(kinds::kAppCrash.str(), "app.crash");
+    std::set<std::string> names;
+    for (std::size_t i = 1; i < kTelemetryKindCount; ++i) {
+        const std::string &name =
+            telemetryKindName(static_cast<TelemetryKind>(i));
+        EXPECT_NE(name.find('.'), std::string::npos) << name;
+        names.insert(name);
+    }
+    EXPECT_EQ(names.size(), kTelemetryKindCount - 1);
 }
 
-TEST(Telemetry, DynamicKindsInternStably)
-{
-    const TelemetryKind first("test.dynamic.kind");
-    const TelemetryKind second(std::string("test.dynamic.kind"));
-    const TelemetryKind other("test.other.kind");
-    EXPECT_EQ(first, second);
-    EXPECT_EQ(first.id(), second.id());
-    EXPECT_NE(first, other);
-    EXPECT_GE(first.id(), kinds::kFirstDynamicId);
-    EXPECT_EQ(first.str(), "test.dynamic.kind");
-    // Default construction is the reserved "none" kind.
-    EXPECT_EQ(TelemetryKind(), kinds::kNone);
-}
-
-TEST(Telemetry, EventKindNameMatchesInternTable)
+TEST(Telemetry, EventDefaultsAndKindName)
 {
     TelemetryEvent event;
+    EXPECT_EQ(event.kind, kinds::kNone);
     event.kind = kinds::kAtmsShadowHandling;
     EXPECT_EQ(event.kindName(), "atms.shadowHandling");
-}
-
-TEST(Telemetry, CustomSinkReceivesEvents)
-{
-    class Collecting final : public TelemetrySink
-    {
-      public:
-        void record(const TelemetryEvent &event) override
-        { events.push_back(event); }
-        std::vector<TelemetryEvent> events;
-    } sink;
-
-    TelemetryEvent event;
-    event.time = milliseconds(5);
-    event.kind = "test.kind";
-    event.detail = "payload";
-    event.value = 3.5;
-    sink.record(event);
-    ASSERT_EQ(sink.events.size(), 1u);
-    EXPECT_EQ(sink.events[0].kind, "test.kind");
-    EXPECT_EQ(sink.events[0].detail, "payload");
-    EXPECT_DOUBLE_EQ(sink.events[0].value, 3.5);
 }
 
 } // namespace

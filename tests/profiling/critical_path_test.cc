@@ -269,5 +269,23 @@ TEST(CriticalPath, DeepNestingIsAParseErrorNotACrash)
     EXPECT_EQ(parseChromeTrace(at_limit).error, "missing traceEvents array");
 }
 
+TEST(CriticalPath, OutOfRangeNumbersAreAParseError)
+{
+    // A huge or negative number used to reach an undefined double to
+    // integer conversion (and overflow in the span arithmetic after it).
+    const auto event = [](const std::string &fields) {
+        return "{\"traceEvents\":[{\"ph\":\"B\",\"ts\":1},{\"ph\":\"E\"," +
+               fields + "}]}";
+    };
+    EXPECT_TRUE(parseChromeTrace(event("\"ts\":2,\"pid\":-3,\"id\":4")).ok());
+    for (const char *fields : {"\"ts\":1e300", "\"ts\":-1e300",
+                               "\"pid\":1e19", "\"tid\":-1e19",
+                               "\"id\":-1", "\"id\":1e300"}) {
+        EXPECT_EQ(parseChromeTrace(event(fields)).error,
+                  "event 1: pid, tid, ts or id out of range")
+            << fields;
+    }
+}
+
 } // namespace
 } // namespace rchdroid::profiling

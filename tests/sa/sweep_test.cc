@@ -9,6 +9,7 @@
 #include <set>
 
 #include "apps/corpus.h"
+#include "platform/strings.h"
 #include "sa/sweep.h"
 
 namespace rchdroid::sa {
@@ -52,14 +53,6 @@ TEST(Sweep, JsonContainsEveryAppAndTheSummary)
             << verdict.app;
     EXPECT_NE(json.find("\"summary\""), std::string::npos);
     EXPECT_NE(json.find("\"rch_eligible\""), std::string::npos);
-}
-
-TEST(Sweep, JsonEscapingHandlesQuotesAndControlChars)
-{
-    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape("a\nb"), "a\\nb");
-    EXPECT_EQ(jsonEscape(std::string("a\x01") + "b"), "a\\u0001b");
 }
 
 TEST(Sweep, VerdictJsonCarriesBothModePredictions)

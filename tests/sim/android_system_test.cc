@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "sim/android_system.h"
 #include "view/text_view.h"
 #include "view/view_group.h"
@@ -150,11 +152,65 @@ TEST(AndroidSystem, TraceRecordsConfigChangeEvents)
     const auto spec = apps::makeBenchmarkApp(1);
     system.install(spec);
     system.launch(spec);
-    EXPECT_EQ(system.trace().countOfKind("atms.configChange"), 0u);
+    EXPECT_EQ(system.trace().countOfKind(kinds::kAtmsConfigChange), 0u);
     system.rotate();
     system.waitHandlingComplete();
-    EXPECT_EQ(system.trace().countOfKind("atms.configChange"), 1u);
+    EXPECT_EQ(system.trace().countOfKind(kinds::kAtmsConfigChange), 1u);
     EXPECT_GT(system.lastHandlingMs(), 0.0);
+}
+
+TEST(AndroidSystem, TwoSystemsOnOneThreadRecordSeparately)
+{
+    const auto spec = apps::makeBenchmarkApp(1);
+    AndroidSystem solo;
+    solo.install(spec);
+    solo.launch(spec);
+    const std::size_t boot_events = solo.trace().events().size();
+    const std::size_t boot_busy = solo.cpuTracker().intervals().size();
+    ASSERT_GT(boot_busy, 0u);
+
+    AndroidSystem plain;
+    AndroidSystem rotated;
+    for (AndroidSystem *system : {&plain, &rotated}) {
+        system->install(spec);
+        system->launch(spec);
+        // Each boot recorded exactly what a lone system records.
+        EXPECT_EQ(system->trace().events().size(), boot_events);
+        EXPECT_EQ(system->cpuTracker().intervals().size(), boot_busy);
+    }
+
+    rotated.rotate();
+    ASSERT_TRUE(rotated.waitHandlingComplete());
+    EXPECT_EQ(rotated.trace().handlingEpisodes().size(), 1u);
+    EXPECT_EQ(rotated.trace().countOfKind(kinds::kAtmsConfigChange), 1u);
+    EXPECT_GT(rotated.cpuTracker().intervals().size(), boot_busy);
+    // The other system on the thread heard none of it.
+    EXPECT_TRUE(plain.trace().handlingEpisodes().empty());
+    EXPECT_EQ(plain.trace().countOfKind(kinds::kAtmsConfigChange), 0u);
+    EXPECT_EQ(plain.trace().events().size(), boot_events);
+    EXPECT_EQ(plain.cpuTracker().intervals().size(), boot_busy);
+}
+
+TEST(AndroidSystem, ReplacementBuiltBeforeTheOldOneDiesKeepsRecording)
+{
+    // A crash reopen: the new system exists before the old one is
+    // destroyed, so the old one leaves the observer chain from behind
+    // the new one.
+    const auto spec = apps::makeBenchmarkApp(1);
+    auto system = std::make_unique<AndroidSystem>();
+    system->install(spec);
+    system->launch(spec);
+    system = std::make_unique<AndroidSystem>();
+    system->install(spec);
+    system->launch(spec);
+    EXPECT_EQ(system->trace().countOfKind(kinds::kAtmsActivityResumed), 1u);
+    const std::size_t boot_busy = system->cpuTracker().intervals().size();
+    EXPECT_GT(boot_busy, 0u);
+
+    system->rotate();
+    ASSERT_TRUE(system->waitHandlingComplete());
+    EXPECT_EQ(system->trace().handlingEpisodes().size(), 1u);
+    EXPECT_GT(system->cpuTracker().intervals().size(), boot_busy);
 }
 
 TEST(AndroidSystem, MemorySamplingLifecycle)

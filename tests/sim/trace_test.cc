@@ -12,7 +12,7 @@ namespace rchdroid::sim {
 namespace {
 
 TelemetryEvent
-event(SimTime t, const std::string &kind)
+event(SimTime t, TelemetryKind kind)
 {
     TelemetryEvent e;
     e.time = t;
@@ -23,24 +23,24 @@ event(SimTime t, const std::string &kind)
 TEST(TraceRecorder, StoresAndQueriesByKind)
 {
     TraceRecorder trace;
-    trace.record(event(1, "a"));
-    trace.record(event(2, "b"));
-    trace.record(event(3, "a"));
+    trace.record(event(1, kinds::kAppResumed));
+    trace.record(event(2, kinds::kAppCrash));
+    trace.record(event(3, kinds::kAppResumed));
     EXPECT_EQ(trace.events().size(), 3u);
-    EXPECT_EQ(trace.countOfKind("a"), 2u);
-    EXPECT_EQ(trace.eventsOfKind("b").size(), 1u);
-    ASSERT_TRUE(trace.lastOfKind("a").has_value());
-    EXPECT_EQ(trace.lastOfKind("a")->time, 3);
-    EXPECT_FALSE(trace.lastOfKind("zzz").has_value());
+    EXPECT_EQ(trace.countOfKind(kinds::kAppResumed), 2u);
+    EXPECT_EQ(trace.eventsOfKind(kinds::kAppCrash).size(), 1u);
+    ASSERT_TRUE(trace.lastOfKind(kinds::kAppResumed).has_value());
+    EXPECT_EQ(trace.lastOfKind(kinds::kAppResumed)->time, 3);
+    EXPECT_FALSE(trace.lastOfKind(kinds::kAtmsBack).has_value());
 }
 
 TEST(TraceRecorder, PairsEpisodes)
 {
     TraceRecorder trace;
-    trace.record(event(milliseconds(10), "atms.configChange"));
-    trace.record(event(milliseconds(150), "atms.activityResumed"));
-    trace.record(event(milliseconds(500), "atms.configChange"));
-    trace.record(event(milliseconds(590), "atms.activityResumed"));
+    trace.record(event(milliseconds(10), kinds::kAtmsConfigChange));
+    trace.record(event(milliseconds(150), kinds::kAtmsActivityResumed));
+    trace.record(event(milliseconds(500), kinds::kAtmsConfigChange));
+    trace.record(event(milliseconds(590), kinds::kAtmsActivityResumed));
 
     const auto episodes = trace.handlingEpisodes();
     ASSERT_EQ(episodes.size(), 2u);
@@ -56,9 +56,9 @@ TEST(TraceRecorder, BackToBackChangesAbortTheOvertakenEpisode)
     // eventual resume closed it with a wildly inflated duration while
     // the real (second) episode never completed.
     TraceRecorder trace;
-    trace.record(event(milliseconds(10), "atms.configChange"));
-    trace.record(event(milliseconds(40), "atms.configChange"));
-    trace.record(event(milliseconds(130), "atms.activityResumed"));
+    trace.record(event(milliseconds(10), kinds::kAtmsConfigChange));
+    trace.record(event(milliseconds(40), kinds::kAtmsConfigChange));
+    trace.record(event(milliseconds(130), kinds::kAtmsActivityResumed));
 
     const auto episodes = trace.handlingEpisodes();
     ASSERT_EQ(episodes.size(), 2u);
@@ -75,10 +75,11 @@ TEST(TraceRecorder, BackToBackChangesAbortTheOvertakenEpisode)
 TEST(TraceRecorder, AbortedEpisodeDoesNotResumeTwice)
 {
     TraceRecorder trace;
-    trace.record(event(milliseconds(0), "atms.configChange"));
-    trace.record(event(milliseconds(30), "atms.configChange"));
-    trace.record(event(milliseconds(90), "atms.activityResumed"));
-    trace.record(event(milliseconds(95), "atms.activityResumed")); // launch
+    trace.record(event(milliseconds(0), kinds::kAtmsConfigChange));
+    trace.record(event(milliseconds(30), kinds::kAtmsConfigChange));
+    trace.record(event(milliseconds(90), kinds::kAtmsActivityResumed));
+    // The launch's resume:
+    trace.record(event(milliseconds(95), kinds::kAtmsActivityResumed));
     const auto episodes = trace.handlingEpisodes();
     ASSERT_EQ(episodes.size(), 2u);
     // The stray resume must not reopen or re-close the aborted episode.
@@ -90,8 +91,8 @@ TEST(TraceRecorder, AbortedEpisodeDoesNotResumeTwice)
 TEST(TraceRecorder, CrashLeavesEpisodeOpen)
 {
     TraceRecorder trace;
-    trace.record(event(milliseconds(10), "atms.configChange"));
-    trace.record(event(milliseconds(20), "app.crash"));
+    trace.record(event(milliseconds(10), kinds::kAtmsConfigChange));
+    trace.record(event(milliseconds(20), kinds::kAppCrash));
     const auto episodes = trace.handlingEpisodes();
     ASSERT_EQ(episodes.size(), 1u);
     EXPECT_FALSE(episodes[0].completed());
@@ -103,9 +104,9 @@ TEST(TraceRecorder, CrashLeavesEpisodeOpen)
 TEST(TraceRecorder, ResumeWithoutChangeIgnoredByEpisodes)
 {
     TraceRecorder trace;
-    trace.record(event(1, "atms.activityResumed")); // app launch
-    trace.record(event(milliseconds(10), "atms.configChange"));
-    trace.record(event(milliseconds(60), "atms.activityResumed"));
+    trace.record(event(1, kinds::kAtmsActivityResumed)); // app launch
+    trace.record(event(milliseconds(10), kinds::kAtmsConfigChange));
+    trace.record(event(milliseconds(60), kinds::kAtmsActivityResumed));
     const auto episodes = trace.handlingEpisodes();
     ASSERT_EQ(episodes.size(), 1u);
     EXPECT_DOUBLE_EQ(episodes[0].durationMs(), 50.0);
@@ -114,9 +115,10 @@ TEST(TraceRecorder, ResumeWithoutChangeIgnoredByEpisodes)
 TEST(TraceRecorder, LastHandlingSkipsTrailingOpenEpisode)
 {
     TraceRecorder trace;
-    trace.record(event(milliseconds(0), "atms.configChange"));
-    trace.record(event(milliseconds(70), "atms.activityResumed"));
-    trace.record(event(milliseconds(100), "atms.configChange")); // in flight
+    trace.record(event(milliseconds(0), kinds::kAtmsConfigChange));
+    trace.record(event(milliseconds(70), kinds::kAtmsActivityResumed));
+    // Still in flight:
+    trace.record(event(milliseconds(100), kinds::kAtmsConfigChange));
     EXPECT_DOUBLE_EQ(trace.lastHandlingMs(), 70.0);
 }
 
@@ -125,7 +127,7 @@ TEST(TraceRecorder, CsvExport)
     TraceRecorder trace;
     TelemetryEvent e;
     e.time = milliseconds(12) + microseconds(500);
-    e.kind = "atms.configChange";
+    e.kind = kinds::kAtmsConfigChange;
     e.detail = "land \"quoted\"";
     e.value = 7;
     trace.record(e);
@@ -139,7 +141,8 @@ TEST(TraceRecorder, CsvExport)
 TEST(TraceRecorder, CsvWriteToFile)
 {
     TraceRecorder trace;
-    trace.record(TelemetryEvent{milliseconds(1), "x", "d", 0});
+    trace.record(
+        TelemetryEvent{milliseconds(1), kinds::kAppResumed, "d", 0});
     const std::string path = ::testing::TempDir() + "/trace_test.csv";
     ASSERT_TRUE(trace.writeCsv(path));
     std::ifstream in(path);
@@ -152,9 +155,10 @@ TEST(TraceRecorder, CsvWriteToFile)
 TEST(TraceRecorder, ClearResets)
 {
     TraceRecorder trace;
-    trace.record(event(1, "x"));
+    trace.record(event(1, kinds::kAppResumed));
     trace.clear();
     EXPECT_TRUE(trace.events().empty());
+    EXPECT_EQ(trace.countOfKind(kinds::kAppResumed), 0u);
 }
 
 } // namespace

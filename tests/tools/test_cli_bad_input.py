@@ -13,6 +13,7 @@ CTest passes the built binaries' paths:
       RCHDROID_SHELL RCHDROID_SA QUICKSTART
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -24,6 +25,22 @@ RCHDROID_PROFILE = None
 RCHDROID_SHELL = None
 RCHDROID_SA = None
 QUICKSTART = None
+QUICKSTART_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "observability_golden",
+                                "quickstart.trace.json")
+
+
+def strings_in(value):
+    """Every string in a parsed JSON document, object keys included."""
+    if isinstance(value, str):
+        return {value}
+    if isinstance(value, dict):
+        items = [*value.keys(), *value.values()]
+    elif isinstance(value, list):
+        items = value
+    else:
+        return set()
+    return set().union(*map(strings_in, items))
 
 
 class CliCase(unittest.TestCase):
@@ -91,6 +108,24 @@ class RchdroidProfileTest(CliCase):
     def test_top_is_strict(self):
         self.assert_rejected([RCHDROID_PROFILE, "trace.json", "--top=3x"],
                              '--top: expected an integer')
+
+    def test_control_characters_in_span_names_stay_escaped(self):
+        # --json used to copy "\n" and "\u0001" in a label out raw,
+        # which no JSON parser accepts. The input is quickstart's pinned
+        # trace, so the case runs in builds without tracing too.
+        with open(QUICKSTART_TRACE) as handle:
+            trace = handle.read()
+        needle = '"name":"app.performLaunch"'
+        self.assertIn(needle, trace)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.json")
+            with open(path, "w") as handle:
+                handle.write(trace.replace(
+                    needle, '"name":"app.performLaunch\\n\\u0001"'))
+            proc = self.run_checked([RCHDROID_PROFILE, path, "--json"], 0)
+            labels = strings_in(json.loads(proc.stdout))
+            self.assertIn("app.performLaunch\n\u0001@com.example.notes.main",
+                          labels)
 
 
 class RchdroidShellTest(CliCase):

@@ -30,14 +30,6 @@ sys.path.insert(
 
 import lint_rules  # noqa: E402
 
-TELEMETRY_CC = """\
-const char *kSeed[] = {
-    "",
-    "atms.configChange",
-    "rch.snapshot",
-};
-"""
-
 CHECKERS_CC = """\
 const std::vector<CheckerInfo> kCheckers = {
     {"data_loss", "may-lose verdicts", checkDataLoss},
@@ -47,11 +39,10 @@ const std::vector<CheckerInfo> kCheckers = {
 
 
 class FakeRepo:
-    """Minimal tree the rules can parse: seed table + checker registry."""
+    """Minimal tree the rules can parse: the checker registry."""
 
     def __init__(self, root):
         self.root = root
-        self.write("src/platform/telemetry.cc", TELEMETRY_CC)
         self.write("src/sa/checkers.cc", CHECKERS_CC)
         self.write("tests/sa/checker_data_loss_test.cc", "// TP/TN\n")
         self.write("tests/sa/checker_stale_reference_test.cc", "// TP/TN\n")
@@ -86,23 +77,17 @@ class LintRulesTest(unittest.TestCase):
 
     def test_json_records_carry_file_line_rule_message(self):
         self.repo.write("src/rch/bad.cc",
-                        'void f() { emit("atms.configChange"); }\n')
+                        '// rch\n#include "analysis/analyzer.h"\n')
         code, errors = self.repo.lint()
         self.assertEqual(code, 1)
         self.assertEqual(len(errors), 1)
         record = errors[0]
         self.assertEqual(sorted(record),
                          ["file", "line", "message", "rule"])
-        self.assertEqual(record["rule"], "interned-kinds")
+        self.assertEqual(record["rule"], "analysis-seam")
         self.assertEqual(record["file"], os.path.join("src", "rch",
                                                       "bad.cc"))
-        self.assertEqual(record["line"], 1)
-
-    def test_raw_kind_in_comment_is_exempt(self):
-        self.repo.write("src/rch/doc.cc",
-                        '// emits "atms.configChange" downstream\n')
-        code, errors = self.repo.lint()
-        self.assertEqual(code, 0)
+        self.assertEqual(record["line"], 2)
 
     def test_analysis_seam_rule_fires_on_framework_include(self):
         self.repo.write("src/ams/bad.cc",
@@ -215,9 +200,10 @@ class LintRulesTest(unittest.TestCase):
         self.assertIn("checker_shiny_new_test.cc", errors[0]["message"])
 
     def test_structural_error_does_not_hide_other_violations(self):
-        # Regression test: a missing kSeed table used to SystemExit
-        # before the walk, hiding every other violation in the tree.
-        self.repo.write("src/platform/telemetry.cc", "// table gone\n")
+        # Regression test: a missing source-of-truth table used to
+        # SystemExit before the walk, hiding every other violation in
+        # the tree.
+        self.repo.write("src/sa/checkers.cc", "// table gone\n")
         self.repo.write("src/sa/bad.cc", '#include "sim/simulator.h"\n')
         code, errors = self.repo.lint()
         self.assertEqual(code, 1)
@@ -232,13 +218,6 @@ class LintRulesTest(unittest.TestCase):
         self.assertEqual(code, 1)
         self.assertIn("structure", self.rules(errors))
         self.assertIn("analysis-seam", self.rules(errors))
-
-    def test_empty_seed_table_is_structural(self):
-        self.repo.write("src/platform/telemetry.cc",
-                        'const char *kSeed[] = {\n};\n')
-        code, errors = self.repo.lint()
-        self.assertEqual(code, 1)
-        self.assertIn("structure", self.rules(errors))
 
     def test_human_readable_output_without_json_flag(self):
         self.repo.write("src/sa/bad.cc", '#include "sim/simulator.h"\n')

@@ -12,23 +12,14 @@ missing) are reported as ``[structure]`` violations and the scan
 continues — one broken table must not hide every other violation in the
 tree.
 
-Rule 1 — interned-kinds: raw telemetry kind strings (the dotted names
-seeded into the intern table, e.g. "atms.configChange") must not appear
-in framework source outside platform/telemetry.cc. Everywhere else the
-pre-interned ``kinds::`` constants are mandatory: they are 4-byte
-handles on the hot emission path, and a typo'd raw string would silently
-intern a brand-new kind instead of failing to compile. The expected
-strings are parsed out of the kSeed table in platform/telemetry.cc, so
-the rule tracks the source of truth automatically. Comments are exempt
-(docs may spell the dotted names), and tests/ may use raw names —
-exercising the string-edge API is exactly what the telemetry tests are
-for.
+Rule 1 is unused: telemetry kinds are a closed enum, so the compiler
+rejects a misspelt kind.
 
 Rule 2 — analysis-seam: framework layers (os, view, app, ams, rch,
 platform, resources, apps, baseline) must not include analysis/ headers
-directly; the one sanctioned crossing is the os/analysis_hooks.h seam,
-whose Hooks interface (in namespace analysis::, defined by the seam
-header itself) is how the framework reports events. sim/ and mc/ are
+directly; they report through the os/observer.h seam, whose
+obs::Observer interface (defined by the seam header itself) every
+consumer, the analyzer included, subscribes to. sim/ and mc/ are
 harness layers that own an Analyzer by design and are exempt. This
 keeps the dependency arrow pointing one way: analysis observes the
 framework, the framework never grows a compile-time dependency on its
@@ -80,11 +71,8 @@ import sys
 FRAMEWORK_LAYERS = ("os", "view", "app", "ams", "rch", "platform",
                     "resources", "apps", "baseline")
 
-#: The one sanctioned framework crossing into analysis/.
-ANALYSIS_SEAM = os.path.join("src", "os", "analysis_hooks.h")
-
-#: Where the raw kind strings live (and must stay).
-KIND_HOME = os.path.join("src", "platform", "telemetry.cc")
+#: The seam framework layers report through instead of analysis/.
+ANALYSIS_SEAM = os.path.join("src", "os", "observer.h")
 
 #: The checker registry rule 4 parses.
 CHECKER_HOME = os.path.join("src", "sa", "checkers.cc")
@@ -102,37 +90,6 @@ MC_ALLOWED_INCLUDES = ("mc/", "sa/", "platform/", "os/", "sim/",
                        "view/", "analysis/", "apps/")
 
 SOURCE_SUFFIXES = (".h", ".cc")
-
-
-def seeded_kind_names(repo_root, errors):
-    """Parse the kSeed string table out of platform/telemetry.cc.
-
-    On a structural problem (missing file/table/entries), append a
-    [structure] violation and return an empty list so the remaining
-    rules still run over the whole tree.
-    """
-    path = os.path.join(repo_root, KIND_HOME)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        errors.append(_error(KIND_HOME, 1, "structure",
-                             f"cannot read the kind-seed home: {exc}"))
-        return []
-    match = re.search(r"kSeed\[\]\s*=\s*\{(.*?)\};", text, re.DOTALL)
-    if not match:
-        errors.append(_error(KIND_HOME, 1, "structure",
-                             "no kSeed table found — the interned-kinds "
-                             "rule has lost its source of truth"))
-        return []
-    # Allow the empty "" seed entry so quote pairs stay aligned, then
-    # drop it: only real dotted names are guarded.
-    names = [n for n in re.findall(r'"([^"]*)"', match.group(1)) if n]
-    if not names:
-        errors.append(_error(KIND_HOME, 1, "structure",
-                             "kSeed table is empty — the interned-kinds "
-                             "rule has lost its source of truth"))
-    return names
 
 
 def registered_checkers(repo_root, errors):
@@ -180,23 +137,14 @@ def _error(rel, line, rule, message):
     return {"file": rel, "line": line, "rule": rule, "message": message}
 
 
-def check_file(path, rel, kind_names, errors):
+def check_file(path, rel, errors):
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
 
     layer = rel.split(os.sep)[1] if rel.startswith("src" + os.sep) else ""
     code = strip_comments(text)
 
-    if rel != KIND_HOME:
-        for number, line in enumerate(code.splitlines(), 1):
-            for name in kind_names:
-                if f'"{name}"' in line:
-                    errors.append(_error(
-                        rel, number, "interned-kinds",
-                        f"raw kind string \"{name}\" — use the kinds:: "
-                        f"constant (raw names live only in {KIND_HOME})"))
-
-    if layer in FRAMEWORK_LAYERS and rel != ANALYSIS_SEAM:
+    if layer in FRAMEWORK_LAYERS:
         for number, line in enumerate(code.splitlines(), 1):
             if re.search(r'#\s*include\s*"analysis/', line):
                 errors.append(_error(
@@ -269,13 +217,12 @@ def main(argv=None):
                           os.pardir))
 
     errors = []
-    kind_names = seeded_kind_names(repo_root, errors)
     checker_names = registered_checkers(repo_root, errors)
 
     checked = 0
     for path in source_files(repo_root):
         rel = os.path.relpath(path, repo_root)
-        check_file(path, rel, kind_names, errors)
+        check_file(path, rel, errors)
         checked += 1
     check_checker_tests(repo_root, checker_names, errors)
 
@@ -291,7 +238,6 @@ def main(argv=None):
               f"{checked} files)", file=sys.stderr)
         return 1
     print(f"lint_rules: OK — {checked} files, "
-          f"{len(kind_names)} interned kinds guarded, "
           f"{len(checker_names)} checkers covered")
     return 0
 

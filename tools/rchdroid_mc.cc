@@ -242,7 +242,7 @@ reportJson(const Flags &flags, const mc::Scenario &scenario,
 {
     const mc::ExplorerStats &stats = report.stats;
     std::string out = "{\"scenario\": \"";
-    out += sa::jsonEscape(scenario.name);
+    out += jsonEscape(scenario.name);
     out += "\", \"depth\": " + std::to_string(flags.depth);
     out += ", \"guided\": ";
     out += guided ? "true" : "false";
@@ -273,9 +273,9 @@ reportJson(const Flags &flags, const mc::Scenario &scenario,
         if (i)
             out += ", ";
         out += "{\"oracle\": \"";
-        out += sa::jsonEscape(violation.oracle);
+        out += jsonEscape(violation.oracle);
         out += "\", \"summary\": \"";
-        out += sa::jsonEscape(violation.summary);
+        out += jsonEscape(violation.summary);
         out += "\"}";
     }
     out += "]}";
