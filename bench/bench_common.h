@@ -1,15 +1,16 @@
 /**
  * @file
  * Shared helpers for the bench binaries: the experiment flows of §5 —
- * launch, apply user state, change configuration, measure — with the
- * paper's five-run replication, plus paper-anchor reporting.
+ * launch, apply user state, change configuration, measure — plus
+ * paper-anchor reporting.
  *
  * Measurement decomposes into independent cells — one fresh
- * sim::AndroidSystem per (mode, spec, run) — so benches can fan the
- * whole matrix across cores with ParallelRunner while aggregating in a
- * fixed order. A cell's result depends only on (mode, spec,
- * steady_changes), never on which thread or in which order it ran, so
- * any jobs count reproduces the serial output bit for bit.
+ * sim::AndroidSystem per (mode, spec) — so benches can fan the whole
+ * matrix across cores with ParallelRunner while keeping results in cell
+ * order. The simulation is deterministic: a cell's result depends only
+ * on (mode, spec, steady_changes), never on which thread or in which
+ * order it ran, so any jobs count reproduces the serial output bit for
+ * bit, and running a cell twice would only repeat its numbers.
  */
 #ifndef RCHDROID_BENCH_BENCH_COMMON_H
 #define RCHDROID_BENCH_BENCH_COMMON_H
@@ -51,42 +52,38 @@ optionsFor(RuntimeChangeMode mode)
     return options;
 }
 
+/** One (mode, app) cell of an experiment matrix. */
+struct HandlingCell
+{
+    RuntimeChangeMode mode = RuntimeChangeMode::Restart;
+    apps::AppSpec spec;
+    int steady_changes = 3;
+};
+
 /**
- * Measure the steady-state (post-first-change) runtime-change handling
- * time for an app: launch, apply state, perform `warmup_changes` + 1
- * changes, report the last episode. Each of the `runs` repetitions uses
- * a fresh system, mirroring the paper's "mean of at least five runs".
+ * Handling times of one cell: the first change (RCHDroid-init under
+ * RCHDroid) and the steady-state changes after it.
  */
 struct HandlingMeasurement
 {
     RunningStat handling_ms;
     RunningStat init_ms;
     bool crashed = false;
-
-    /** Fold another measurement (e.g. one run's) into this one. */
-    void
-    merge(const HandlingMeasurement &other)
-    {
-        handling_ms.merge(other.handling_ms);
-        init_ms.merge(other.init_ms);
-        crashed = crashed || other.crashed;
-    }
 };
 
 /**
- * One replication: a single fresh-system launch + first change +
+ * Measure one cell: a fresh-system launch + first change +
  * `steady_changes` steady-state changes. The independent unit of work
  * the parallel matrix fans out.
  */
 inline HandlingMeasurement
-measureHandlingRun(RuntimeChangeMode mode, const apps::AppSpec &spec,
-                   int steady_changes = 3)
+measureHandlingCell(const HandlingCell &cell)
 {
     HandlingMeasurement out;
-    sim::AndroidSystem system(optionsFor(mode));
-    system.install(spec);
-    system.launch(spec);
-    system.applyUserState(spec);
+    sim::AndroidSystem system(optionsFor(cell.mode));
+    system.install(cell.spec);
+    system.launch(cell.spec);
+    system.applyUserState(cell.spec);
 
     // First change: the RCHDroid-init episode.
     system.rotate();
@@ -99,7 +96,7 @@ measureHandlingRun(RuntimeChangeMode mode, const apps::AppSpec &spec,
 
     // Subsequent changes: the steady state (coin-flip under RCHDroid,
     // plain restart under Android-10).
-    for (int change = 0; change < steady_changes; ++change) {
+    for (int change = 0; change < cell.steady_changes; ++change) {
         system.rotate();
         if (!system.waitHandlingComplete()) {
             out.crashed = true;
@@ -111,54 +108,18 @@ measureHandlingRun(RuntimeChangeMode mode, const apps::AppSpec &spec,
     return out;
 }
 
-inline HandlingMeasurement
-measureHandling(RuntimeChangeMode mode, const apps::AppSpec &spec,
-                int runs = 5, int steady_changes = 3)
-{
-    HandlingMeasurement out;
-    for (int run = 0; run < runs; ++run)
-        out.merge(measureHandlingRun(mode, spec, steady_changes));
-    return out;
-}
-
-/** One (mode, app) cell of an experiment matrix. */
-struct HandlingCell
-{
-    RuntimeChangeMode mode = RuntimeChangeMode::Restart;
-    apps::AppSpec spec;
-    int runs = 5;
-    int steady_changes = 3;
-};
-
 /**
- * Measure every cell of a matrix, fanning the individual (cell, run)
- * replications across the runner's threads. Results are returned in
- * cell order with each cell's runs merged in run order, so the output
- * is bit-identical to the jobs=1 serial sweep.
+ * Measure every cell of a matrix, fanning the cells across the runner's
+ * threads. Results are returned in cell order, so the output is
+ * bit-identical to the jobs=1 serial sweep.
  */
 inline std::vector<HandlingMeasurement>
 measureHandlingMatrix(const std::vector<HandlingCell> &cells,
                       const ParallelRunner &runner)
 {
-    struct RunRef
-    {
-        std::size_t cell;
-    };
-    std::vector<RunRef> flat;
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-        for (int run = 0; run < cells[c].runs; ++run)
-            flat.push_back({c});
-    }
-    const auto per_run = runner.map<HandlingMeasurement>(
-        flat.size(), [&](std::size_t i) {
-            const HandlingCell &cell = cells[flat[i].cell];
-            return measureHandlingRun(cell.mode, cell.spec,
-                                      cell.steady_changes);
-        });
-    std::vector<HandlingMeasurement> out(cells.size());
-    for (std::size_t i = 0; i < flat.size(); ++i)
-        out[flat[i].cell].merge(per_run[i]);
-    return out;
+    return runner.map<HandlingMeasurement>(
+        cells.size(),
+        [&cells](std::size_t i) { return measureHandlingCell(cells[i]); });
 }
 
 } // namespace rchdroid::bench

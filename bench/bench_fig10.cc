@@ -60,9 +60,9 @@ run(int jobs)
     std::vector<HandlingCell> cells;
     for (int n : view_counts) {
         const auto spec = apps::makeBenchmarkApp(n);
-        cells.push_back({RuntimeChangeMode::Restart, spec, /*runs=*/3,
+        cells.push_back({RuntimeChangeMode::Restart, spec,
                          /*steady_changes=*/2});
-        cells.push_back({RuntimeChangeMode::RchDroid, spec, /*runs=*/3,
+        cells.push_back({RuntimeChangeMode::RchDroid, spec,
                          /*steady_changes=*/2});
     }
     const auto results = measureHandlingMatrix(cells, runner);
@@ -103,7 +103,7 @@ run(int jobs)
     std::vector<HandlingCell> stock_cells;
     for (int n : view_counts) {
         stock_cells.push_back({RuntimeChangeMode::Restart,
-                               apps::makeBenchmarkApp(n), /*runs=*/1,
+                               apps::makeBenchmarkApp(n),
                                /*steady_changes=*/1});
     }
     const auto stock_b = measureHandlingMatrix(stock_cells, runner);

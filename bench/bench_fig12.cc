@@ -39,11 +39,11 @@ run(int jobs)
     // Cell layout per app: stock, RCHDroid, RuntimeDroid-patched stock.
     std::vector<HandlingCell> cells;
     for (const auto &spec : specs) {
-        cells.push_back({RuntimeChangeMode::Restart, spec, /*runs=*/3});
-        cells.push_back({RuntimeChangeMode::RchDroid, spec, /*runs=*/3});
+        cells.push_back({RuntimeChangeMode::Restart, spec});
+        cells.push_back({RuntimeChangeMode::RchDroid, spec});
         apps::AppSpec patched = spec;
         patched.runtimedroid_patched = true;
-        cells.push_back({RuntimeChangeMode::Restart, patched, /*runs=*/3});
+        cells.push_back({RuntimeChangeMode::Restart, patched});
     }
     const auto results = measureHandlingMatrix(cells, runner);
     for (std::size_t i = 0; i < specs.size(); ++i) {

@@ -48,8 +48,8 @@ run(int jobs)
     }
     std::vector<HandlingCell> cells;
     for (const auto &spec : fixable) {
-        cells.push_back({RuntimeChangeMode::Restart, spec, /*runs=*/2});
-        cells.push_back({RuntimeChangeMode::RchDroid, spec, /*runs=*/2});
+        cells.push_back({RuntimeChangeMode::Restart, spec});
+        cells.push_back({RuntimeChangeMode::RchDroid, spec});
     }
     const auto results = measureHandlingMatrix(cells, runner);
     for (std::size_t i = 0; i < fixable.size(); ++i) {

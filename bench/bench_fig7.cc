@@ -25,8 +25,8 @@ run(int jobs)
     const auto specs = apps::tp37();
     std::vector<HandlingCell> cells;
     for (const auto &spec : specs) {
-        cells.push_back({RuntimeChangeMode::Restart, spec, /*runs=*/3});
-        cells.push_back({RuntimeChangeMode::RchDroid, spec, /*runs=*/3});
+        cells.push_back({RuntimeChangeMode::Restart, spec});
+        cells.push_back({RuntimeChangeMode::RchDroid, spec});
     }
     const auto results = measureHandlingMatrix(cells, runner);
     for (std::size_t i = 0; i < specs.size(); ++i) {

@@ -1,8 +1,8 @@
 /**
  * @file
  * Micro-benchmarks (google-benchmark) of the substrate hot paths: the
- * discrete-event scheduler, message queue, bundle/parcel serialization,
- * view-tree save/restore, and the essence-mapping build. These measure
+ * discrete-event scheduler, view-tree save/restore, and the
+ * essence-mapping build. These measure
  * *host* performance of the simulator itself (not simulated time) and
  * guard against regressions that would make the table/figure benches
  * slow to run.
@@ -10,7 +10,6 @@
 #include <benchmark/benchmark.h>
 
 #include "app/activity.h"
-#include "os/parcel.h"
 #include "os/scheduler.h"
 #include "rch/view_tree_mapper.h"
 #include "view/image_view.h"
@@ -34,23 +33,6 @@ BM_SchedulerScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SchedulerScheduleRun)->Arg(1000)->Arg(10000);
-
-void
-BM_BundleRoundTrip(benchmark::State &state)
-{
-    Bundle bundle;
-    for (int i = 0; i < state.range(0); ++i) {
-        bundle.putString("key" + std::to_string(i),
-                         "value-" + std::to_string(i));
-        bundle.putInt("int" + std::to_string(i), i);
-    }
-    for (auto _ : state) {
-        auto copy = roundTripBundle(bundle);
-        benchmark::DoNotOptimize(copy);
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0) * 2);
-}
-BENCHMARK(BM_BundleRoundTrip)->Arg(16)->Arg(256);
 
 std::unique_ptr<ViewGroup>
 makeTree(int leaves)

@@ -4,11 +4,11 @@
  * discrete-event core's throughput and the parallel experiment runner's
  * wall-clock speedup.
  *
- * Four single-thread workloads exercise the hot paths the indexed-heap
+ * Three single-thread workloads exercise the hot paths the indexed-heap
  * overhaul targets — a depth-1 looper ping-pong (fixed per-event
- * overhead), timer churn (enqueue + selective removal), a deep delayed
- * queue (the O(n) vs O(log n) regime), and full-system RCHDroid
- * rotations — followed by the Fig. 10-shaped handling matrix run with
+ * overhead), a deep delayed queue (the O(n) vs O(log n) regime), and
+ * full-system RCHDroid rotations — followed by the Fig. 10-shaped
+ * handling matrix run with
  * jobs=1 and jobs=N to measure the fan-out speedup and to check the
  * parallel aggregate is bit-identical to the serial one.
  *
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "os/handler.h"
 #include "os/looper.h"
 #include "os/scheduler.h"
 #include "platform/logging.h"
@@ -35,7 +34,7 @@ namespace rchdroid::bench {
 namespace {
 
 /**
- * Throughput of the same four workloads measured on the pre-overhaul
+ * Throughput of the same workloads measured on the pre-overhaul
  * event core (sorted-vector MessageQueue, priority_queue-of-Event
  * scheduler) on the development container (1 core, RelWithDebInfo),
  * recorded when the indexed-heap core landed. Emitted into the JSON so
@@ -44,7 +43,6 @@ namespace {
  * is where the old core's O(n) inserts and front-erases collapse.
  */
 constexpr double kPreChangePingpongEps = 6'632'047;
-constexpr double kPreChangeTimerChurnEps = 3'639'897;
 constexpr double kPreChangeDeepQueueEps = 66'809;
 constexpr double kPreChangeRotationsEps = 985;
 
@@ -83,42 +81,18 @@ runPingpong()
     SimScheduler scheduler;
     Looper looper_a(scheduler, "ping");
     Looper looper_b(scheduler, "pong");
-    Handler ha(looper_a, "ping");
-    Handler hb(looper_b, "pong");
     int remaining = kBounces;
     std::function<void()> bounce;
     bounce = [&] {
         if (--remaining <= 0)
             return;
-        ((remaining & 1) ? hb : ha).post(bounce, 0, "bounce");
+        ((remaining & 1) ? looper_b : looper_a).post(bounce, 0, 0, "bounce");
     };
     WallTimer timer;
-    ha.post(bounce, 0, "bounce");
+    looper_a.post(bounce, 0, 0, "bounce");
     scheduler.runUntilIdle();
     return {"looper_pingpong", static_cast<double>(kBounces),
             timer.seconds()};
-}
-
-/** Bursts of delayed messages with selective removal, then a drain. */
-WorkloadResult
-runTimerChurn()
-{
-    constexpr int kRounds = 20'000;
-    constexpr int kPerRound = 32;
-    SimScheduler scheduler;
-    Looper looper(scheduler, "churn");
-    Handler handler(looper, "churn");
-    std::uint64_t dispatched = 0;
-    WallTimer timer;
-    for (int round = 0; round < kRounds; ++round) {
-        for (int k = 0; k < kPerRound; ++k) {
-            handler.sendMessage(k % 4, [&dispatched] { ++dispatched; },
-                                /*delay=*/(k * 7) % 1000, 0, "tick");
-        }
-        handler.removeMessages(3);
-        scheduler.runUntilIdle();
-    }
-    return {"timer_churn", static_cast<double>(dispatched), timer.seconds()};
 }
 
 /**
@@ -134,7 +108,6 @@ runDeepQueue()
     constexpr int kEvents = 400'000;
     SimScheduler scheduler;
     Looper looper(scheduler, "deep");
-    Handler handler(looper, "deep");
     int executed = 0;
     std::uint64_t rng = 0x12345678;
     auto next_delay = [&rng] {
@@ -145,11 +118,11 @@ runDeepQueue()
     work = [&] {
         if (++executed >= kEvents)
             return;
-        handler.postDelayed(work, next_delay(), 0, "w");
+        looper.post(work, next_delay(), 0, "w");
     };
     WallTimer timer;
     for (int i = 0; i < kDepth; ++i)
-        handler.postDelayed(work, next_delay(), 0, "w");
+        looper.post(work, next_delay(), 0, "w");
     while (executed < kEvents && scheduler.step()) {
     }
     return {"deep_queue", static_cast<double>(executed), timer.seconds()};
@@ -219,21 +192,23 @@ struct MatrixResult
 MatrixResult
 runMatrix(int jobs)
 {
-    // Heavy enough that each (cell, run) replication is real work and
-    // thread spawn/join overhead is negligible next to the cells.
+    // Each (mode, app) pair is listed kRuns times, so there are enough
+    // cells to spread over the threads and each is heavy enough that
+    // thread spawn/join overhead is negligible next to it.
     constexpr int kRuns = 50;
     constexpr int kSteadyChanges = 100;
     std::vector<HandlingCell> cells;
     for (int n : {16, 32, 64, 128}) {
         const auto spec = apps::makeBenchmarkApp(n);
-        cells.push_back(
-            {RuntimeChangeMode::Restart, spec, kRuns, kSteadyChanges});
-        cells.push_back(
-            {RuntimeChangeMode::RchDroid, spec, kRuns, kSteadyChanges});
+        for (const RuntimeChangeMode mode :
+             {RuntimeChangeMode::Restart, RuntimeChangeMode::RchDroid}) {
+            for (int run = 0; run < kRuns; ++run)
+                cells.push_back({mode, spec, kSteadyChanges});
+        }
     }
 
     MatrixResult result;
-    result.cells = cells.size();
+    result.cells = cells.size() / kRuns;
     result.runs_per_cell = kRuns;
 
     const ParallelRunner serial(1);
@@ -322,8 +297,6 @@ writeJson(const std::string &path, const std::vector<WorkloadResult> &loads,
                  "(sorted-vector queue), 1-core dev container\",\n");
     std::fprintf(out, "    \"looper_pingpong_events_per_sec\": %.0f,\n",
                  kPreChangePingpongEps);
-    std::fprintf(out, "    \"timer_churn_events_per_sec\": %.0f,\n",
-                 kPreChangeTimerChurnEps);
     std::fprintf(out, "    \"deep_queue_events_per_sec\": %.0f,\n",
                  kPreChangeDeepQueueEps);
     std::fprintf(out, "    \"system_rotations_events_per_sec\": %.0f\n",
@@ -349,7 +322,6 @@ run(int jobs, const std::string &out_path)
 
     std::vector<WorkloadResult> loads;
     loads.push_back(runPingpong());
-    loads.push_back(runTimerChurn());
     loads.push_back(runDeepQueue());
     loads.push_back(runRotations());
 

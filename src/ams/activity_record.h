@@ -22,7 +22,6 @@ namespace rchdroid {
 enum class RecordState : std::uint8_t {
     Launching,
     Resumed,
-    Paused,
     Stopped,
     Destroyed,
 };

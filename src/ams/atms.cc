@@ -19,10 +19,10 @@ runtimeChangeModeName(RuntimeChangeMode mode)
 }
 
 Atms::Atms(SimScheduler &scheduler, const AtmsCosts &costs,
-           const IpcLatencyModel &client_latency)
+           SimDuration binder_latency)
     : scheduler_(scheduler),
       costs_(costs),
-      client_latency_(client_latency),
+      binder_latency_(binder_latency),
       looper_(scheduler, "system_server.atms"),
       starter_(std::make_unique<ActivityStarter>(*this))
 {
@@ -69,8 +69,7 @@ Atms::clientFor(const std::string &process)
 }
 
 void
-Atms::callClient(const std::string &process, std::function<void()> fn,
-                 std::size_t payload_bytes)
+Atms::callClient(const std::string &process, std::function<void()> fn)
 {
     ActivityClient *client = clientFor(process);
     if (!client) {
@@ -88,9 +87,8 @@ Atms::callClient(const std::string &process, std::function<void()> fn,
     // (pending causal), so the edge spans the whole server->client hop
     // and the binder latency shows up as queue wait.
     const std::uint64_t causal_id = beginTraceFlow(&looper_, "binder");
-    scheduler_.schedule(departure_delay +
-                            client_latency_.oneWay(payload_bytes),
-                        std::move(fn), EventLabel{}, causal_id);
+    scheduler_.schedule(departure_delay + binder_latency_, std::move(fn),
+                        EventLabel{}, causal_id);
 }
 
 ActivityRecord &
@@ -245,17 +243,6 @@ Atms::activityResumed(ActivityToken token)
             }
         },
         0, costs_.transaction_handle, "activityResumed");
-}
-
-void
-Atms::activityPaused(ActivityToken token)
-{
-    looper_.post(
-        [this, token] {
-            if (ActivityRecord *record = mutableRecordFor(token))
-                record->setState(RecordState::Paused);
-        },
-        0, costs_.transaction_handle, "activityPaused");
 }
 
 void

@@ -23,7 +23,6 @@
 #include "ams/atms_costs.h"
 #include "app/binder_interfaces.h"
 #include "app/intent.h"
-#include "os/ipc.h"
 #include "os/looper.h"
 #include "os/scheduler.h"
 #include "platform/telemetry.h"
@@ -56,10 +55,11 @@ class Atms final : public ActivityManager
     /**
      * @param scheduler Shared discrete-event core.
      * @param costs Server-side cost constants.
-     * @param client_latency Binder latency towards app processes.
+     * @param binder_latency One-way binder latency towards app
+     *        processes.
      */
     Atms(SimScheduler &scheduler, const AtmsCosts &costs,
-         const IpcLatencyModel &client_latency);
+         SimDuration binder_latency);
     ~Atms() override;
 
     Atms(const Atms &) = delete;
@@ -104,7 +104,6 @@ class Atms final : public ActivityManager
      */
     void startActivity(const Intent &intent) override;
     void activityResumed(ActivityToken token) override;
-    void activityPaused(ActivityToken token) override;
     void activityStopped(ActivityToken token) override;
     void activityDestroyed(ActivityToken token) override;
     void shadowActivityReclaimed(ActivityToken token) override;
@@ -130,8 +129,7 @@ class Atms final : public ActivityManager
 
     void handleConfigChange(const Configuration &config);
     /** Deliver fn to the process's client after the binder latency. */
-    void callClient(const std::string &process, std::function<void()> fn,
-                    std::size_t payload_bytes = 0);
+    void callClient(const std::string &process, std::function<void()> fn);
     ActivityClient *clientFor(const std::string &process);
     ActivityRecord &createRecord(const std::string &component,
                                  const std::string &process);
@@ -142,7 +140,7 @@ class Atms final : public ActivityManager
 
     SimScheduler &scheduler_;
     AtmsCosts costs_;
-    IpcLatencyModel client_latency_;
+    SimDuration binder_latency_;
     Looper looper_;
     RuntimeChangeMode mode_ = RuntimeChangeMode::Restart;
     Configuration config_;

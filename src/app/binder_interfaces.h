@@ -4,9 +4,9 @@
  * system_server, mirroring AOSP's IApplicationThread (server → client)
  * and IActivityTaskManager (client → server).
  *
- * The sim layer implements proxies that carry these calls over
- * IpcChannel with the modelled binder latency; unit tests may wire the
- * interfaces directly.
+ * The sim layer implements proxies that deliver these calls after the
+ * modelled one-way binder latency; unit tests may wire the interfaces
+ * directly.
  */
 #ifndef RCHDROID_APP_BINDER_INTERFACES_H
 #define RCHDROID_APP_BINDER_INTERFACES_H
@@ -107,7 +107,6 @@ class ActivityManager
 
     /** Lifecycle reports; the ATMS timestamps handling completion. */
     virtual void activityResumed(ActivityToken token) = 0;
-    virtual void activityPaused(ActivityToken token) = 0;
     virtual void activityStopped(ActivityToken token) = 0;
     virtual void activityDestroyed(ActivityToken token) = 0;
 

@@ -3,11 +3,10 @@
  * ClientRuntimeChangeHandler: the strategy interface through which the
  * ActivityThread delegates runtime-change handling.
  *
- * Two implementations exist:
- *  - baseline::RestartClientHandler — the stock Android 10 behaviour
- *    (relaunch the activity), and
- *  - rch::RchClientHandler — the paper's contribution (shadow/sunny
- *    states, lazy migration, GC).
+ * Its one implementation is RchClientHandler, the paper's contribution
+ * (shadow/sunny states, lazy migration, GC). With no handler installed
+ * the ActivityThread keeps the stock Android 10 behaviour: the ATMS
+ * relaunches the activity.
  *
  * This mirrors how the prototype patches specific framework methods
  * (performActivityConfigurationChanged, performLaunchActivity,

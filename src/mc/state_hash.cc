@@ -88,11 +88,10 @@ mixQueue(std::uint64_t &h, const Looper &looper)
     mixString(h, looper.name());
     mixU64(h, looper.queuedMessages());
     looper.queue().forEachPendingInOrder([&h](const Message &msg) {
-        // (when, what, tag) in delivery order; seq/analysis_id are
+        // (when, cost, tag) in delivery order; seq/analysis_id are
         // per-execution tickets and stay out.
         mixI64(h, msg.when);
         mixI64(h, msg.cost);
-        mixU64(h, static_cast<std::uint64_t>(msg.what));
         mixString(h, msg.tag);
     });
 }

@@ -87,7 +87,10 @@ class Bundle
     /** Deep structural equality. */
     bool operator==(const Bundle &other) const;
 
-    /** Raw entry access for Parcel serialization. */
+    /**
+     * Raw entry access, in key order: the model checker's state hash and
+     * its saved_restore oracle read it.
+     */
     const std::map<std::string, BundleValue> &entries() const
     { return entries_; }
 

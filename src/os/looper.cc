@@ -95,18 +95,6 @@ Looper::currentCostEnd() const
     return current_start_ + current_cost_;
 }
 
-std::size_t
-Looper::removeByToken(const void *token)
-{
-    return queue_.removeByToken(token);
-}
-
-std::size_t
-Looper::removeByWhat(const void *token, int what)
-{
-    return queue_.removeByWhat(token, what);
-}
-
 void
 Looper::armWakeup()
 {
@@ -139,7 +127,7 @@ Looper::onWakeup()
     wakeup_event_ = kInvalidEventId;
     auto msg = queue_.popDue(scheduler_.now());
     if (!msg) {
-        // The head message moved (removed or re-ordered); re-arm.
+        // The head message is not due yet; re-arm.
         armWakeup();
         return;
     }

@@ -82,10 +82,6 @@ class Looper
      */
     SimTime currentCostEnd() const;
 
-    /** Remove queued messages owned by the token. */
-    std::size_t removeByToken(const void *token);
-    std::size_t removeByWhat(const void *token, int what);
-
     /** Queue depth (diagnostics). */
     std::size_t queuedMessages() const { return queue_.size(); }
 

@@ -88,50 +88,4 @@ MessageQueue::forEachPendingInOrder(
         fn(slots_[entry.slot]);
 }
 
-template <typename Pred>
-std::size_t
-MessageQueue::removeMatching(Pred &&matches)
-{
-    // Single-pass filter over the heap keys; delivery order of survivors
-    // is unaffected because their (when, seq) keys are, so one re-heapify
-    // restores the invariant. The old per-match erase loop was O(n²).
-    std::size_t out = 0;
-    for (const HeapEntry &entry : heap_) {
-        if (matches(slots_[entry.slot])) {
-            // Release the payload now: removal must drop whatever the
-            // callback closure keeps alive, exactly like the old erase.
-            slots_[entry.slot] = Message();
-            free_slots_.push_back(entry.slot);
-        } else {
-            heap_[out++] = entry;
-        }
-    }
-    const std::size_t removed = heap_.size() - out;
-    if (removed == 0)
-        return 0;
-    heap_.resize(out);
-    if (heap_.empty()) {
-        slots_.clear();
-        free_slots_.clear();
-    } else {
-        std::make_heap(heap_.begin(), heap_.end(), laterThan);
-    }
-    return removed;
-}
-
-std::size_t
-MessageQueue::removeByToken(const void *token)
-{
-    return removeMatching(
-        [token](const Message &m) { return m.token == token; });
-}
-
-std::size_t
-MessageQueue::removeByWhat(const void *token, int what)
-{
-    return removeMatching([token, what](const Message &m) {
-        return m.token == token && m.what == what;
-    });
-}
-
 } // namespace rchdroid

@@ -25,8 +25,7 @@ namespace rchdroid {
 /**
  * One unit of work queued to a looper.
  *
- * Modelled on android.os.Message with a Runnable callback; `what` and the
- * token support selective removal (Handler::removeMessages).
+ * Modelled on android.os.Message with a Runnable callback.
  */
 struct Message
 {
@@ -36,10 +35,6 @@ struct Message
     SimTime when = 0;
     /** Virtual CPU time the dispatch occupies on the looper's thread. */
     SimDuration cost = 0;
-    /** Message kind, for removeMessages(what). */
-    int what = 0;
-    /** Owner token (usually the posting Handler), for bulk removal. */
-    const void *token = nullptr;
     /** Human-readable label surfaced in traces. */
     std::string tag;
     /**
@@ -80,7 +75,6 @@ struct Message
  * payload is moved exactly once in and once out. Enqueue and pop are
  * O(log n) where the previous sorted-vector representation paid O(n)
  * payload moves for every enqueue ahead of the tail and every front pop.
- * Bulk removal is a single O(n) filter + re-heapify.
  */
 class MessageQueue
 {
@@ -98,12 +92,6 @@ class MessageQueue
 
     /** Pop the head regardless of time (looper decides when to run it). */
     std::optional<Message> popFront();
-
-    /** Remove all messages owned by token; count removed. */
-    std::size_t removeByToken(const void *token);
-
-    /** Remove all messages owned by token with the given what. */
-    std::size_t removeByWhat(const void *token, int what);
 
     bool empty() const { return heap_.empty(); }
     std::size_t size() const { return heap_.size(); }
@@ -133,8 +121,6 @@ class MessageQueue
     {
         return dispatch_order::firesAfter({a.when, a.seq}, {b.when, b.seq});
     }
-
-    template <typename Pred> std::size_t removeMatching(Pred &&matches);
 
     /** Take the payload of the heap head and release its slot. */
     Message takeHead();

@@ -22,26 +22,6 @@ RunningStat::add(double x)
     m2_ += delta * (x - mean_);
 }
 
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double delta = other.mean_ - mean_;
-    const auto n1 = static_cast<double>(count_);
-    const auto n2 = static_cast<double>(other.count_);
-    const double n = n1 + n2;
-    mean_ += delta * n2 / n;
-    m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-    count_ += other.count_;
-}
-
 double
 RunningStat::variance() const
 {

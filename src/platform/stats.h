@@ -24,8 +24,6 @@ class RunningStat
   public:
     /** Fold one sample into the aggregate. */
     void add(double x);
-    /** Fold an entire other accumulator in. */
-    void merge(const RunningStat &other);
 
     std::size_t count() const { return count_; }
     double mean() const { return count_ ? mean_ : 0.0; }

@@ -5,16 +5,13 @@
 
 namespace rchdroid {
 
-LazyMigrator::LazyMigrator(const RchConfig &config, RchStats &stats)
-    : config_(config), stats_(stats)
+LazyMigrator::LazyMigrator(RchStats &stats) : stats_(stats)
 {
 }
 
 void
 LazyMigrator::onViewInvalidated(Activity &activity, View &view)
 {
-    if (!config_.enable_lazy_migration)
-        return;
     if (!activity.isShadow())
         return;
     if (migrating_)

@@ -21,11 +21,8 @@ namespace rchdroid {
 class LazyMigrator final : public InvalidationListener
 {
   public:
-    /**
-     * @param config Ablation switches (enable_lazy_migration).
-     * @param stats Shared counter sink (owned by the handler).
-     */
-    LazyMigrator(const RchConfig &config, RchStats &stats);
+    /** @param stats Shared counter sink (owned by the handler). */
+    explicit LazyMigrator(RchStats &stats);
 
     /**
      * A view of `activity` was invalidated. When the activity is in the
@@ -39,7 +36,6 @@ class LazyMigrator final : public InvalidationListener
     std::uint64_t migratedViews() const { return migrated_; }
 
   private:
-    const RchConfig &config_;
     RchStats &stats_;
     std::uint64_t migrated_ = 0;
     /** Re-entrancy latch: applyMigration may cascade invalidations. */

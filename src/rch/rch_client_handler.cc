@@ -12,7 +12,7 @@ namespace rchdroid {
 RchClientHandler::RchClientHandler(RchConfig config)
     : config_(config),
       mapper_(config_.mapping_strategy),
-      migrator_(config_, stats_),
+      migrator_(stats_),
       gc_policy_(config_)
 {
 }

@@ -43,12 +43,6 @@ struct RchConfig
     SimDuration gc_interval = seconds(5);
     /** Essence-mapping construction strategy. */
     MappingStrategy mapping_strategy = MappingStrategy::HashTable;
-    /**
-     * Ablation: disable lazy migration (async updates then stay on the
-     * shadow tree and the sunny tree goes stale — never crashes, but
-     * reproduces *why* migration is needed).
-     */
-    bool enable_lazy_migration = true;
 };
 
 /** Counters of everything the handler did (benches read these). */

@@ -7,6 +7,9 @@
 
 namespace rchdroid::sim {
 
+/** Heap sampling period of startMemorySampling(). */
+constexpr SimDuration kMemorySampleInterval = milliseconds(10);
+
 /**
  * Client → system_server binder proxy: every IActivityTaskManager call
  * crosses the modelled binder before reaching the ATMS (whose methods
@@ -15,7 +18,7 @@ namespace rchdroid::sim {
 class AndroidSystem::AtmsProxy final : public ActivityManager
 {
   public:
-    AtmsProxy(SimScheduler &scheduler, Atms &atms, IpcLatencyModel latency)
+    AtmsProxy(SimScheduler &scheduler, Atms &atms, SimDuration latency)
         : scheduler_(scheduler), atms_(atms), latency_(latency)
     {
     }
@@ -30,12 +33,6 @@ class AndroidSystem::AtmsProxy final : public ActivityManager
     activityResumed(ActivityToken token) override
     {
         defer([this, token] { atms_.activityResumed(token); });
-    }
-
-    void
-    activityPaused(ActivityToken token) override
-    {
-        defer([this, token] { atms_.activityPaused(token); });
     }
 
     void
@@ -78,13 +75,13 @@ class AndroidSystem::AtmsProxy final : public ActivityManager
         // binder legs may be tied at one instant; they share this label,
         // which the explorer treats as conservatively dependent (binder
         // delivery order towards the ATMS is a real ordering choice).
-        scheduler_.schedule(latency_.oneWay(0), std::move(fn),
+        scheduler_.schedule(latency_, std::move(fn),
                             EventLabel{this, "binder"}, causal_id);
     }
 
     SimScheduler &scheduler_;
     Atms &atms_;
-    IpcLatencyModel latency_;
+    SimDuration latency_;
 };
 
 AndroidSystem::AndroidSystem(SystemOptions options)
@@ -121,7 +118,7 @@ AndroidSystem::AndroidSystem(SystemOptions options)
     }
 #endif
     atms_ = std::make_unique<Atms>(scheduler_, options_.device.atms,
-                                   options_.device.binder);
+                                   options_.device.binder_latency);
     atms_->setMode(options_.mode);
     atms_->setInitialConfiguration(options_.native_config);
 }
@@ -182,7 +179,7 @@ AndroidSystem::installCustom(const CustomAppParams &params)
                                                params.factory);
 
     installed->am_proxy = std::make_unique<AtmsProxy>(
-        scheduler_, *atms_, options_.device.binder);
+        scheduler_, *atms_, options_.device.binder_latency);
     installed->thread->setActivityManager(installed->am_proxy.get());
 
     atms_->registerProcess(params.process, *installed->thread);
@@ -443,7 +440,7 @@ AndroidSystem::startMemorySampling(const apps::AppSpec &spec)
         ActivityThread *thread = app.thread.get();
         app.memory = std::make_unique<MemorySampler>(
             scheduler_, [thread] { return thread->totalHeapBytes(); },
-            options_.memory_sample_interval);
+            kMemorySampleInterval);
     }
     app.memory->start();
     return *app.memory;

@@ -44,8 +44,6 @@ struct SystemOptions
     RchConfig rch;
     /** Hardware calibration. */
     DeviceModel device = DeviceModel::rk3399();
-    /** Memory sampling period for startMemorySampling(). */
-    SimDuration memory_sample_interval = milliseconds(10);
     /**
      * Boot configuration. The paper's eval board drives an HDMI screen
      * and boots landscape 1920×1080; `wm size 1080x1920` then makes it
@@ -223,7 +221,7 @@ class AndroidSystem : private obs::Observer
     double lastHandlingMs() const { return trace_.lastHandlingMs(); }
     /** Current heap of the app's process. */
     std::size_t appHeapBytes(const apps::AppSpec &spec);
-    /** Begin periodic heap sampling for the app. */
+    /** Begin heap sampling for the app, one sample every 10 ms. */
     MemorySampler &startMemorySampling(const apps::AppSpec &spec);
     /** @} */
 

@@ -8,9 +8,8 @@ DeviceModel::rk3399()
     DeviceModel d;
 
     // Binder: one-way transaction ≈ 1 ms on this class of SoC under
-    // load, plus a small per-KiB parcel copy term.
-    d.binder.base_latency = microseconds(1000);
-    d.binder.per_kib = microseconds(3);
+    // load.
+    d.binder_latency = microseconds(1000);
 
     // system_server costs. start_activity_base and record_create are
     // the extra server work the RCHDroid-init path pays over a plain
@@ -107,8 +106,7 @@ DeviceModel::scaled(double speedup)
           &d.resources.drawable_per_kib, &d.resources.layout_per_node}) {
         *v = scale(*v, speedup);
     }
-    d.binder.base_latency = scale(d.binder.base_latency, speedup);
-    d.binder.per_kib = scale(d.binder.per_kib, speedup);
+    d.binder_latency = scale(d.binder_latency, speedup);
     return d;
 }
 

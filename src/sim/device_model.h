@@ -14,7 +14,7 @@
 
 #include "ams/atms_costs.h"
 #include "app/framework_costs.h"
-#include "os/ipc.h"
+#include "platform/time.h"
 #include "resources/resource_manager.h"
 
 namespace rchdroid::sim {
@@ -36,7 +36,8 @@ struct DeviceModel
     FrameworkCosts framework;
     AtmsCosts atms;
     ResourceCostModel resources;
-    IpcLatencyModel binder;
+    /** One-way binder transaction latency, either direction. */
+    SimDuration binder_latency = 0;
     PowerModel power;
 
     /** The paper's evaluation board, fully calibrated. */

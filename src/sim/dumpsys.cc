@@ -17,7 +17,6 @@ recordStateName(RecordState state)
     switch (state) {
       case RecordState::Launching: return "Launching";
       case RecordState::Resumed: return "Resumed";
-      case RecordState::Paused: return "Paused";
       case RecordState::Stopped: return "Stopped";
       case RecordState::Destroyed: return "Destroyed";
     }

@@ -34,7 +34,7 @@ class ScriptedClient final : public ActivityClient
 
 struct StarterFixture : ::testing::Test
 {
-    StarterFixture() : atms(scheduler, AtmsCosts{}, IpcLatencyModel{})
+    StarterFixture() : atms(scheduler, AtmsCosts{}, /*binder_latency=*/0)
     {
         atms.setMode(RuntimeChangeMode::RchDroid);
         atms.registerProcess("app", client);

@@ -42,7 +42,7 @@ class ScriptedClient final : public ActivityClient
 
 struct AtmsFixture : ::testing::Test
 {
-    AtmsFixture() : atms(scheduler, AtmsCosts{}, IpcLatencyModel{})
+    AtmsFixture() : atms(scheduler, AtmsCosts{}, /*binder_latency=*/0)
     {
         atms.registerProcess("app", client);
         atms.declareComponent("app/.Main", ComponentInfo{});
@@ -178,9 +178,6 @@ TEST_F(AtmsFixture, ShadowReclaimedRemovesOnlyShadowRecords)
 TEST_F(AtmsFixture, LifecycleReportsUpdateRecordState)
 {
     const ActivityToken token = launchMain();
-    atms.activityPaused(token);
-    scheduler.runUntilIdle();
-    EXPECT_EQ(atms.recordFor(token)->state(), RecordState::Paused);
     atms.activityStopped(token);
     scheduler.runUntilIdle();
     EXPECT_EQ(atms.recordFor(token)->state(), RecordState::Stopped);

@@ -205,9 +205,8 @@ TEST_F(FragmentFixture, AsyncUpdateToFragmentViewMigrates)
     shadow_host.enterShadowState();
     ViewTreeMapper().buildMapping(sunny_host, shadow_host);
 
-    RchConfig config;
     RchStats stats;
-    LazyMigrator migrator(config, stats);
+    LazyMigrator migrator(stats);
     shadow_host.setInvalidationListener(&migrator);
 
     dynamic_cast<EditText *>(shadow_host.findViewById("form_edit"))
@@ -229,9 +228,8 @@ TEST_F(FragmentFixture, DynamicallyAddedFragmentAfterMappingIsHarmless)
     shadow_host.enterShadowState();
     ViewTreeMapper().buildMapping(sunny_host, shadow_host);
 
-    RchConfig config;
     RchStats stats;
-    LazyMigrator migrator(config, stats);
+    LazyMigrator migrator(stats);
     shadow_host.setInvalidationListener(&migrator);
 
     auto late = std::make_shared<FormFragment>("late");

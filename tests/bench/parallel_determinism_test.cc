@@ -84,10 +84,12 @@ TEST(ParallelDeterminism, MatrixIsBitIdenticalAcrossJobCounts)
     std::vector<HandlingCell> cells;
     for (int n : {2, 4, 8}) {
         const auto spec = apps::makeBenchmarkApp(n);
-        cells.push_back({RuntimeChangeMode::Restart, spec, /*runs=*/3,
-                         /*steady_changes=*/2});
-        cells.push_back({RuntimeChangeMode::RchDroid, spec, /*runs=*/3,
-                         /*steady_changes=*/2});
+        for (int run = 0; run < 3; ++run) {
+            cells.push_back({RuntimeChangeMode::Restart, spec,
+                             /*steady_changes=*/2});
+            cells.push_back({RuntimeChangeMode::RchDroid, spec,
+                             /*steady_changes=*/2});
+        }
     }
     const auto serial = measureHandlingMatrix(cells, ParallelRunner(1));
     for (int jobs : {2, 4, 7}) {
@@ -109,10 +111,9 @@ TEST(ParallelDeterminism, RepeatedParallelRunsAgree)
 {
     // The same matrix twice at the same jobs count: no run-to-run drift
     // from work stealing, thread timing, or slab reuse.
-    std::vector<HandlingCell> cells = {
-        {RuntimeChangeMode::RchDroid, apps::makeBenchmarkApp(4), /*runs=*/4,
-         /*steady_changes=*/2},
-    };
+    const std::vector<HandlingCell> cells(
+        4, {RuntimeChangeMode::RchDroid, apps::makeBenchmarkApp(4),
+            /*steady_changes=*/2});
     const ParallelRunner runner(4);
     const auto first = measureHandlingMatrix(cells, runner);
     const auto second = measureHandlingMatrix(cells, runner);

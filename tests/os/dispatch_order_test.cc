@@ -83,20 +83,20 @@ TEST(DispatchOrderContract, MessageQueuePendingInOrderMatchesPopOrder)
         Message msg;
         msg.callback = [] {};
         msg.when = whens[i];
-        msg.what = i;
+        msg.cost = i;
         queue.enqueue(std::move(msg));
     }
 
-    std::vector<int> visited;
+    std::vector<SimDuration> visited;
     queue.forEachPendingInOrder(
-        [&visited](const Message &msg) { visited.push_back(msg.what); });
+        [&visited](const Message &msg) { visited.push_back(msg.cost); });
 
-    std::vector<int> popped;
+    std::vector<SimDuration> popped;
     while (auto msg = queue.popFront())
-        popped.push_back(msg->what);
+        popped.push_back(msg->cost);
 
     EXPECT_EQ(visited, popped);
-    EXPECT_EQ(popped, (std::vector<int>{1, 4, 3, 0, 2}));
+    EXPECT_EQ(popped, (std::vector<SimDuration>{1, 4, 3, 0, 2}));
 }
 
 /** The scheduler's default dispatch is FIFO among tied events. */

@@ -142,22 +142,6 @@ TEST(Looper, TotalBusyTimeAccumulates)
     EXPECT_EQ(looper.totalBusyTime(), milliseconds(5));
 }
 
-TEST(Looper, RemoveByTokenDropsPending)
-{
-    SimScheduler scheduler;
-    Looper looper(scheduler, "t");
-    int tok = 0;
-    int ran = 0;
-    Message m;
-    m.callback = [&] { ++ran; };
-    m.when = milliseconds(10);
-    m.token = &tok;
-    looper.enqueue(std::move(m));
-    EXPECT_EQ(looper.removeByToken(&tok), 1u);
-    scheduler.runUntilIdle();
-    EXPECT_EQ(ran, 0);
-}
-
 TEST(Looper, TwoLoopersRunConcurrently)
 {
     SimScheduler scheduler;

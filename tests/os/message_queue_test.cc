@@ -1,11 +1,12 @@
 /**
  * @file
- * MessageQueue: ordering and selective removal.
+ * MessageQueue: (when, FIFO) delivery order, also against a naive
+ * reference queue.
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <memory>
+#include <cstdint>
+#include <vector>
 
 #include "os/message_queue.h"
 
@@ -13,13 +14,12 @@ namespace rchdroid {
 namespace {
 
 Message
-msg(SimTime when, int what = 0, const void *token = nullptr)
+msg(SimTime when, SimDuration cost = 0)
 {
     Message m;
     m.callback = [] {};
     m.when = when;
-    m.what = what;
-    m.token = token;
+    m.cost = cost;
     return m;
 }
 
@@ -41,9 +41,9 @@ TEST(MessageQueue, FifoAmongEqualWhen)
     queue.enqueue(msg(5, 1));
     queue.enqueue(msg(5, 2));
     queue.enqueue(msg(5, 3));
-    EXPECT_EQ(queue.popFront()->what, 1);
-    EXPECT_EQ(queue.popFront()->what, 2);
-    EXPECT_EQ(queue.popFront()->what, 3);
+    EXPECT_EQ(queue.popFront()->cost, 1);
+    EXPECT_EQ(queue.popFront()->cost, 2);
+    EXPECT_EQ(queue.popFront()->cost, 3);
 }
 
 TEST(MessageQueue, PopDueRespectsTime)
@@ -63,53 +63,18 @@ TEST(MessageQueue, EmptyBehaviour)
     EXPECT_FALSE(queue.popDue(1000).has_value());
 }
 
-TEST(MessageQueue, RemoveByToken)
-{
-    MessageQueue queue;
-    int a = 0, b = 0;
-    queue.enqueue(msg(1, 0, &a));
-    queue.enqueue(msg(2, 0, &b));
-    queue.enqueue(msg(3, 0, &a));
-    EXPECT_EQ(queue.removeByToken(&a), 2u);
-    EXPECT_EQ(queue.size(), 1u);
-    EXPECT_EQ(queue.popFront()->token, &b);
-}
-
-TEST(MessageQueue, RemoveByWhatIsTokenScoped)
-{
-    MessageQueue queue;
-    int a = 0, b = 0;
-    queue.enqueue(msg(1, 7, &a));
-    queue.enqueue(msg(2, 7, &b));
-    queue.enqueue(msg(3, 8, &a));
-    EXPECT_EQ(queue.removeByWhat(&a, 7), 1u);
-    EXPECT_EQ(queue.size(), 2u);
-}
-
-TEST(MessageQueue, OrderStableAfterRemoval)
-{
-    MessageQueue queue;
-    int tok = 0;
-    queue.enqueue(msg(1, 1));
-    queue.enqueue(msg(2, 2, &tok));
-    queue.enqueue(msg(3, 3));
-    queue.removeByToken(&tok);
-    EXPECT_EQ(queue.popFront()->what, 1);
-    EXPECT_EQ(queue.popFront()->what, 3);
-}
-
 /**
  * Naive reference queue: an append-only vector popped by a linear scan
  * for the earliest (when, arrival) pair — obviously correct, O(n) per
- * op. The indexed heap must agree with it on every observable.
+ * op. The indexed heap must agree with it on every observable. Each
+ * message is named by a unique cost.
  */
 struct ReferenceQueue
 {
     struct Entry
     {
         SimTime when;
-        int what;
-        const void *token;
+        SimDuration cost;
         std::uint64_t arrival;
     };
 
@@ -117,9 +82,9 @@ struct ReferenceQueue
     std::uint64_t next_arrival = 0;
 
     void
-    enqueue(SimTime when, int what, const void *token)
+    enqueue(SimTime when, SimDuration cost)
     {
-        entries.push_back({when, what, token, next_arrival++});
+        entries.push_back({when, cost, next_arrival++});
     }
 
     std::vector<Entry>::iterator
@@ -133,24 +98,12 @@ struct ReferenceQueue
         }
         return best;
     }
-
-    std::size_t
-    removeIf(const std::function<bool(const Entry &)> &matches)
-    {
-        const std::size_t before = entries.size();
-        entries.erase(
-            std::remove_if(entries.begin(), entries.end(), matches),
-            entries.end());
-        return before - entries.size();
-    }
 };
 
 TEST(MessageQueue, RandomizedAgainstReferenceModel)
 {
     MessageQueue queue;
     ReferenceQueue ref;
-    int token_a = 0, token_b = 0, token_c = 0;
-    const void *tokens[] = {&token_a, &token_b, &token_c, nullptr};
 
     // Deterministic LCG so a failure reproduces exactly.
     std::uint64_t rng = 0x5eed5eed;
@@ -160,20 +113,17 @@ TEST(MessageQueue, RandomizedAgainstReferenceModel)
     };
 
     for (int op = 0; op < 5000; ++op) {
-        switch (next() % 6) {
+        switch (next() % 5) {
         case 0:
         case 1:
-        case 2: { // enqueue twice as likely as each other op
+        case 2: { // enqueue three times as likely as each pop
             const SimTime when = static_cast<SimTime>(next() % 64);
-            const int what = static_cast<int>(next() % 4);
-            const void *token = tokens[next() % 4];
             Message m;
             m.callback = [] {};
             m.when = when;
-            m.what = what;
-            m.token = token;
+            m.cost = op;
             queue.enqueue(std::move(m));
-            ref.enqueue(when, what, token);
+            ref.enqueue(when, op);
             break;
         }
         case 3: { // popFront
@@ -185,8 +135,7 @@ TEST(MessageQueue, RandomizedAgainstReferenceModel)
             const auto expect = ref.head();
             ASSERT_TRUE(popped.has_value()) << "op " << op;
             ASSERT_EQ(popped->when, expect->when) << "op " << op;
-            ASSERT_EQ(popped->what, expect->what) << "op " << op;
-            ASSERT_EQ(popped->token, expect->token) << "op " << op;
+            ASSERT_EQ(popped->cost, expect->cost) << "op " << op;
             ref.entries.erase(expect);
             break;
         }
@@ -198,29 +147,8 @@ TEST(MessageQueue, RandomizedAgainstReferenceModel)
             if (due) {
                 const auto expect = ref.head();
                 ASSERT_EQ(popped->when, expect->when) << "op " << op;
-                ASSERT_EQ(popped->what, expect->what) << "op " << op;
-                ASSERT_EQ(popped->token, expect->token) << "op " << op;
+                ASSERT_EQ(popped->cost, expect->cost) << "op " << op;
                 ref.entries.erase(expect);
-            }
-            break;
-        }
-        case 5: { // bulk removal
-            const void *token = tokens[next() % 4];
-            if (next() % 2) {
-                const int what = static_cast<int>(next() % 4);
-                const std::size_t removed = queue.removeByWhat(token, what);
-                const std::size_t expect = ref.removeIf(
-                    [token, what](const ReferenceQueue::Entry &e) {
-                        return e.token == token && e.what == what;
-                    });
-                ASSERT_EQ(removed, expect) << "op " << op;
-            } else {
-                const std::size_t removed = queue.removeByToken(token);
-                const std::size_t expect =
-                    ref.removeIf([token](const ReferenceQueue::Entry &e) {
-                        return e.token == token;
-                    });
-                ASSERT_EQ(removed, expect) << "op " << op;
             }
             break;
         }
@@ -238,28 +166,10 @@ TEST(MessageQueue, RandomizedAgainstReferenceModel)
         const auto popped = queue.popFront();
         ASSERT_TRUE(popped.has_value());
         ASSERT_EQ(popped->when, expect->when);
-        ASSERT_EQ(popped->what, expect->what);
-        ASSERT_EQ(popped->token, expect->token);
+        ASSERT_EQ(popped->cost, expect->cost);
         ref.entries.erase(expect);
     }
     EXPECT_TRUE(queue.empty());
-}
-
-TEST(MessageQueue, RemovalReleasesPayloadResources)
-{
-    // Removal must drop whatever the callback closure keeps alive, even
-    // though the slab slot itself is recycled rather than erased.
-    MessageQueue queue;
-    auto alive = std::make_shared<int>(42);
-    std::weak_ptr<int> watch = alive;
-    int token = 0;
-    Message m;
-    m.callback = [keep = std::move(alive)] { (void)*keep; };
-    m.when = 5;
-    m.token = &token;
-    queue.enqueue(std::move(m));
-    ASSERT_EQ(queue.removeByToken(&token), 1u);
-    EXPECT_TRUE(watch.expired());
 }
 
 TEST(MessageQueueDeath, NullCallbackPanics)

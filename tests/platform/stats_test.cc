@@ -1,11 +1,9 @@
 /**
  * @file
- * RunningStat and SampleSet: aggregation correctness, including the
- * merge used by the bench harness when folding per-run stats.
+ * RunningStat and SampleSet: aggregation correctness.
  */
 #include <gtest/gtest.h>
 
-#include "platform/rng.h"
 #include "platform/stats.h"
 
 namespace rchdroid {
@@ -31,33 +29,6 @@ TEST(RunningStat, KnownSequence)
     EXPECT_DOUBLE_EQ(stat.min(), 2.0);
     EXPECT_DOUBLE_EQ(stat.max(), 9.0);
     EXPECT_DOUBLE_EQ(stat.sum(), 40.0);
-}
-
-TEST(RunningStat, MergeMatchesCombinedStream)
-{
-    Rng rng(5);
-    RunningStat all, left, right;
-    for (int i = 0; i < 1000; ++i) {
-        const double x = rng.nextGaussian(3.0, 1.5);
-        all.add(x);
-        (i % 2 ? left : right).add(x);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), all.count());
-    EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(left.variance(), all.variance(), 1e-6);
-    EXPECT_DOUBLE_EQ(left.min(), all.min());
-    EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(RunningStat, MergeIntoEmpty)
-{
-    RunningStat a, b;
-    b.add(1.0);
-    b.add(3.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 2u);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
 }
 
 TEST(RunningStat, CoefficientOfVariation)

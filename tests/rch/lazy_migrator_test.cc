@@ -1,8 +1,7 @@
 /**
  * @file
  * LazyMigrator: catches invalidations on the shadow tree and replays
- * them onto the sunny peers (§3.3), with re-entrancy protection and the
- * ablation switch.
+ * them onto the sunny peers (§3.3), with re-entrancy protection.
  */
 #include <gtest/gtest.h>
 
@@ -33,7 +32,7 @@ class TreeActivity : public Activity
 struct MigratorFixture : ::testing::Test
 {
     MigratorFixture()
-        : migrator(config, stats), sunny("t/.Sunny"), shadow("t/.Shadow")
+        : migrator(stats), sunny("t/.Sunny"), shadow("t/.Shadow")
     {
         ViewTreeMapper mapper;
         mapper.buildMapping(sunny, shadow);
@@ -46,7 +45,6 @@ struct MigratorFixture : ::testing::Test
         shadow.setInvalidationListener(&migrator);
     }
 
-    RchConfig config;
     RchStats stats;
     LazyMigrator migrator;
     TreeActivity sunny, shadow;
@@ -92,14 +90,6 @@ TEST_F(MigratorFixture, DestroyedPeerSkippedSafely)
     sunny.window().decorView().markDestroyed();
     shadow.findViewByIdAs<TextView>("label")->setText("late");
     EXPECT_EQ(migrator.migratedViews(), 0u);
-}
-
-TEST_F(MigratorFixture, AblationSwitchDisablesMigration)
-{
-    config.enable_lazy_migration = false;
-    shadow.findViewByIdAs<TextView>("label")->setText("dropped");
-    EXPECT_EQ(migrator.migratedViews(), 0u);
-    EXPECT_EQ(sunny.findViewByIdAs<TextView>("label")->text(), "");
 }
 
 TEST_F(MigratorFixture, CascadedInvalidationsDoNotRecurse)

@@ -37,7 +37,6 @@ class ScriptedManager final : public ActivityManager
     { intents.push_back(intent); }
     void activityResumed(ActivityToken token) override
     { resumed.push_back(token); }
-    void activityPaused(ActivityToken) override {}
     void activityStopped(ActivityToken) override {}
     void activityDestroyed(ActivityToken) override {}
     void shadowActivityReclaimed(ActivityToken token) override

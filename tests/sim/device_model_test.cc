@@ -14,7 +14,7 @@ namespace {
 TEST(DeviceModel, AllCostsNonNegative)
 {
     const DeviceModel d = DeviceModel::rk3399();
-    EXPECT_GE(d.binder.base_latency, 0);
+    EXPECT_GE(d.binder_latency, 0);
     EXPECT_GE(d.atms.config_dispatch, 0);
     EXPECT_GE(d.framework.on_create_base, 0);
     EXPECT_GE(d.framework.migrate_per_view, 0);
@@ -69,7 +69,7 @@ TEST(DeviceModel, ScaledDividesUniformly)
     EXPECT_EQ(fast.framework.on_create_base,
               base.framework.on_create_base / 2);
     EXPECT_EQ(fast.atms.config_dispatch, base.atms.config_dispatch / 2);
-    EXPECT_EQ(fast.binder.base_latency, base.binder.base_latency / 2);
+    EXPECT_EQ(fast.binder_latency, base.binder_latency / 2);
     EXPECT_EQ(fast.resources.layout_per_node,
               base.resources.layout_per_node / 2);
     // Power is not a latency; unchanged.

@@ -86,6 +86,12 @@ class RchdroidMcTest(CliCase):
     def test_unknown_flag(self):
         self.reject("--frobnicate", "unknown flag: --frobnicate")
 
+    def test_oracles_must_be_known(self):
+        # Used to die on SIGABRT from an uncaught std::invalid_argument.
+        self.reject("--oracles=crash,bogus",
+                    '--oracles: unknown oracle "bogus" (known: crash, '
+                    'analysis, gc_live_async, saved_restore)')
+
     def test_removed_no_snapshot_flag(self):
         self.reject("--no-snapshot", "unknown flag: --no-snapshot")
 
@@ -129,9 +135,11 @@ class RchdroidProfileTest(CliCase):
 
 
 class RchdroidShellTest(CliCase):
-    def reject(self, command, message, effect):
-        """`command` must fail with `message` and not do `effect`."""
-        script = f"install benchmark 4\nlaunch\n{command}\nquit\n"
+    def reject(self, command, message, effect,
+               setup="install benchmark 4\nlaunch\n"):
+        """After `setup`, `command` must fail with `message` and not do
+        `effect`."""
+        script = f"{setup}{command}\nquit\n"
         proc = self.run_checked([RCHDROID_SHELL], 1, stdin=script)
         _, _, output = proc.stdout.partition("launched ")
         errors = [line for line in output.splitlines()
@@ -166,6 +174,14 @@ class RchdroidShellTest(CliCase):
     def test_locale_needs_a_tag(self):
         # Used to switch to an empty locale.
         self.reject("locale", "locale: missing <tag>", "handling")
+
+    def test_launch_needs_an_app_that_is_not_running(self):
+        # Both used to die on SIGABRT: "launch of ... did not complete".
+        self.reject("launch", "launch: Benchmark4 is already running",
+                    "launched")
+        self.reject("launch", "launch: Benchmark4 has crashed", "launched",
+                    setup="mode android10\ninstall benchmark 4\nlaunch\n"
+                          "click\nrotate\nwait 6000\n")
 
 
 class RchdroidSaTest(CliCase):

@@ -245,9 +245,8 @@ TEST_P(TreeFuzz, RandomMutationsMigrateToMappedPeers)
     shadow.performStart();
     shadow.performResume();
     shadow.enterShadowState();
-    RchConfig config;
     RchStats stats;
-    LazyMigrator migrator(config, stats);
+    LazyMigrator migrator(stats);
     shadow.setInvalidationListener(&migrator);
 
     // Random mutations on id-bearing shadow widgets.

@@ -35,10 +35,12 @@
  *                     of the replay (open in Perfetto)
  *
  * Numeric flags are parsed strictly: an empty, non-numeric, negative or
- * out-of-range value is a usage error naming the flag.
+ * out-of-range value is a usage error naming the flag, and so is an
+ * unknown --oracles name.
  *
  * Exit code: 0 = no violation, 1 = violation found, 2 = usage error.
  */
+#include <algorithm>
 #include <chrono>
 #include <climits>
 #include <cstdio>
@@ -48,6 +50,7 @@
 
 #include "mc/explorer.h"
 #include "mc/minimize.h"
+#include "mc/oracles.h"
 #include "mc/scenario.h"
 #include "platform/strings.h"
 #include "platform/tracing.h"
@@ -132,6 +135,18 @@ parseFlags(int argc, char **argv)
                 return std::nullopt;
         } else if (arg.rfind("--oracles=", 0) == 0) {
             flags.oracles = splitCommas(value("--oracles="));
+            const std::vector<std::string> known = mc::defaultOracleNames();
+            for (const std::string &name : flags.oracles) {
+                if (std::find(known.begin(), known.end(), name) ==
+                    known.end()) {
+                    std::fprintf(stderr,
+                                 "--oracles: unknown oracle \"%s\" "
+                                 "(known: %s)\n",
+                                 name.c_str(),
+                                 joinStrings(known, ", ").c_str());
+                    return std::nullopt;
+                }
+            }
         } else if (arg == "--naive") {
             flags.naive = true;
         } else if (arg == "--no-mhp") {

@@ -18,7 +18,8 @@
  *   install benchmark <views>    install a §5.1 benchmark app
  *   install tp37 <index|name>    install a Table 3 app (1-based index)
  *   install top100 <index|name>  install a Table 5 app (1-based index)
- *   launch                       start the app's main activity
+ *   launch                       start the app's main activity (an
+ *                                error once it runs or has crashed)
  *   apply-state                  scripted user writes canonical state
  *   verify-state                 observe the critical state
  *   click                        tap the update button (async task)
@@ -189,6 +190,15 @@ execute(ShellState &state, const std::string &line)
     auto &device = *state.device;
 
     if (command == "launch") {
+        // A crashed process stays dead, and a start of the activity
+        // already on top is suppressed: neither resumes anything.
+        ActivityThread &thread = device.threadFor(*spec);
+        if (thread.crashed() || thread.foregroundActivity()) {
+            std::printf("error: launch: %s %s\n", spec->name.c_str(),
+                        thread.crashed() ? "has crashed"
+                                         : "is already running");
+            return false;
+        }
         device.launch(*spec);
         std::printf("launched %s\n", spec->component().c_str());
     } else if (command == "apply-state") {
