@@ -119,6 +119,6 @@ run(int jobs)
 int
 main(int argc, char **argv)
 {
-    const int jobs = rchdroid::bench::parseJobsFlag(argc, argv);
+    const int jobs = rchdroid::bench::parseJobsOnly(argc, argv);
     return rchdroid::bench::run(jobs);
 }

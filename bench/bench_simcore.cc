@@ -4,13 +4,14 @@
  * discrete-event core's throughput and the parallel experiment runner's
  * wall-clock speedup.
  *
- * Three single-thread workloads exercise the hot paths the indexed-heap
- * overhaul targets — a depth-1 looper ping-pong (fixed per-event
- * overhead), a deep delayed queue (the O(n) vs O(log n) regime), and
+ * Three single-thread workloads exercise the event core's hot paths —
+ * a depth-1 looper ping-pong (fixed per-event overhead: a post, a
+ * wakeup re-arm, a dispatch), a deep delayed queue (~2,000 pending
+ * messages, so every push and pop sifts through a deep heap), and
  * full-system RCHDroid rotations — followed by the Fig. 10-shaped
- * handling matrix run with
- * jobs=1 and jobs=N to measure the fan-out speedup and to check the
- * parallel aggregate is bit-identical to the serial one.
+ * handling matrix run with jobs=1 and jobs=N to measure the fan-out
+ * speedup and to check the parallel aggregate is bit-identical to the
+ * serial one.
  *
  * Results are printed as a table and written to a machine-readable JSON
  * file (--out=PATH, default BENCH_simcore.json) that the CI perf-smoke
@@ -32,19 +33,6 @@
 
 namespace rchdroid::bench {
 namespace {
-
-/**
- * Throughput of the same workloads measured on the pre-overhaul
- * event core (sorted-vector MessageQueue, priority_queue-of-Event
- * scheduler) on the development container (1 core, RelWithDebInfo),
- * recorded when the indexed-heap core landed. Emitted into the JSON so
- * every report carries the before/after pair; absolute numbers are
- * host-specific, the *ratios* are the point — the deep-queue workload
- * is where the old core's O(n) inserts and front-erases collapse.
- */
-constexpr double kPreChangePingpongEps = 6'632'047;
-constexpr double kPreChangeDeepQueueEps = 66'809;
-constexpr double kPreChangeRotationsEps = 985;
 
 struct WallTimer
 {
@@ -98,8 +86,7 @@ runPingpong()
 /**
  * A looper holding ~2000 pending delayed messages while continuously
  * dispatching; each dispatch re-posts itself at a pseudo-random delay so
- * inserts land mid-queue. The old sorted-vector queue paid O(n) payload
- * moves per insert and per pop here.
+ * inserts land mid-queue.
  */
 WorkloadResult
 runDeepQueue()
@@ -291,17 +278,6 @@ writeJson(const std::string &path, const std::vector<WorkloadResult> &loads,
     std::fprintf(out, "    \"identical_to_serial\": %s\n",
                  matrix.identical ? "true" : "false");
     std::fprintf(out, "  },\n");
-    std::fprintf(out, "  \"pre_change_reference\": {\n");
-    std::fprintf(out,
-                 "    \"note\": \"same workloads on the pre-overhaul core "
-                 "(sorted-vector queue), 1-core dev container\",\n");
-    std::fprintf(out, "    \"looper_pingpong_events_per_sec\": %.0f,\n",
-                 kPreChangePingpongEps);
-    std::fprintf(out, "    \"deep_queue_events_per_sec\": %.0f,\n",
-                 kPreChangeDeepQueueEps);
-    std::fprintf(out, "    \"system_rotations_events_per_sec\": %.0f\n",
-                 kPreChangeRotationsEps);
-    std::fprintf(out, "  },\n");
     // Metrics snapshot of a short instrumented rotation run (the timed
     // workloads above ran registry-free).
     std::string metrics = metrics_json;
@@ -360,6 +336,9 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg.rfind("--out=", 0) == 0)
             out_path = arg.substr(6);
+        else
+            rchdroid::bench::rejectArgument(argv[0], arg,
+                                            "[--jobs=N] [--out=PATH]");
     }
     return rchdroid::bench::run(jobs, out_path);
 }

@@ -100,7 +100,9 @@ run()
 } // namespace rchdroid::bench
 
 int
-main()
+main(int argc, char **argv)
 {
+    if (argc > 1)
+        rchdroid::bench::rejectArgument(argv[0], argv[1], "");
     return rchdroid::bench::run();
 }

@@ -16,6 +16,8 @@
 #define RCHDROID_BENCH_PARALLEL_RUNNER_H
 
 #include <atomic>
+#include <climits>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <optional>
@@ -24,22 +26,35 @@
 #include <vector>
 
 #include "platform/logging.h"
+#include "platform/strings.h"
 
 namespace rchdroid::bench {
 
 /**
+ * A job count given as `what` (a flag or environment variable): a
+ * positive integer, or the parse error on stderr and exit 2.
+ */
+inline int
+parseJobCount(const std::string &text, const std::string &what)
+{
+    const Result<std::int64_t> parsed = parseInteger(text, 1, INT_MAX, what);
+    if (!parsed) {
+        std::fprintf(stderr, "%s\n", parsed.status().message().c_str());
+        std::exit(2);
+    }
+    return static_cast<int>(parsed.value());
+}
+
+/**
  * Worker count used when none is requested explicitly: the
- * RCHDROID_JOBS environment variable if set and positive, else the
- * hardware concurrency (at least 1).
+ * RCHDROID_JOBS environment variable if set (a malformed value exits
+ * 2), else the hardware concurrency (at least 1).
  */
 inline int
 defaultJobs()
 {
-    if (const char *env = std::getenv("RCHDROID_JOBS")) {
-        const int jobs = std::atoi(env);
-        if (jobs > 0)
-            return jobs;
-    }
+    if (const char *env = std::getenv("RCHDROID_JOBS"))
+        return parseJobCount(env, "RCHDROID_JOBS");
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -47,30 +62,56 @@ defaultJobs()
 /**
  * Extract a `--jobs=N` (or `--jobs N`) flag from a bench binary's argv.
  * The flag and its value are removed from argv/argc so later argument
- * handling never sees them.
- * @return the requested job count, or 0 when the flag is absent
- *         (callers pass 0 to ParallelRunner, which uses defaultJobs()).
+ * handling never sees them. N must be a positive integer; a malformed
+ * or missing N exits 2.
+ * @return the requested job count, or defaultJobs() when the flag is
+ *         absent.
  */
 inline int
 parseJobsFlag(int &argc, char **argv)
 {
-    int jobs = 0;
+    std::optional<int> jobs;
     int out = 1;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg.rfind("--jobs=", 0) == 0) {
-            jobs = std::atoi(arg.c_str() + 7);
-            continue;
-        }
-        if (arg == "--jobs" && i + 1 < argc) {
-            jobs = std::atoi(argv[++i]);
-            continue;
-        }
-        argv[out++] = argv[i];
+        if (arg.rfind("--jobs=", 0) == 0)
+            jobs = parseJobCount(arg.substr(7), "--jobs");
+        else if (arg == "--jobs")
+            jobs = parseJobCount(i + 1 < argc ? argv[++i] : "", "--jobs");
+        else
+            argv[out++] = argv[i];
     }
     argc = out;
-    if (jobs < 0)
-        jobs = 0;
+    return jobs ? *jobs : defaultJobs();
+}
+
+/**
+ * Reject an argument a bench does not take: `unknown flag: <arg>` and
+ * the bench's usage line (`flags` lists what it does take) on stderr,
+ * then exit 2.
+ */
+[[noreturn]] inline void
+rejectArgument(const char *argv0, const std::string &arg,
+               const std::string &flags)
+{
+    const std::string path = argv0;
+    const std::string name = path.substr(path.rfind('/') + 1);
+    std::fprintf(stderr, "unknown flag: %s\nusage: %s%s%s\n", arg.c_str(),
+                 name.c_str(), flags.empty() ? "" : " ", flags.c_str());
+    std::exit(2);
+}
+
+/**
+ * The command line of a bench whose only flag is `--jobs`.
+ * @return the job count (see parseJobsFlag); any other argument is
+ *         rejected with rejectArgument().
+ */
+inline int
+parseJobsOnly(int argc, char **argv)
+{
+    const int jobs = parseJobsFlag(argc, argv);
+    if (argc > 1)
+        rejectArgument(argv[0], argv[1], "[--jobs=N]");
     return jobs;
 }
 

@@ -87,9 +87,10 @@ mixQueue(std::uint64_t &h, const Looper &looper)
 {
     mixString(h, looper.name());
     mixU64(h, looper.queuedMessages());
-    looper.queue().forEachPendingInOrder([&h](const Message &msg) {
-        // (when, cost, tag) in delivery order; seq/analysis_id are
-        // per-execution tickets and stay out.
+    looper.queue().forEachInOrder([&h](SimTime, std::uint64_t,
+                                       const Message &msg) {
+        // (when, cost, tag) in delivery order; the arrival ticket and
+        // analysis_id are per-execution counters and stay out.
         mixI64(h, msg.when);
         mixI64(h, msg.cost);
         mixString(h, msg.tag);

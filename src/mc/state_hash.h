@@ -18,7 +18,7 @@
  *  - in-flight AsyncTasks (name, state, owner component/token);
  *  - RCH handler counters that gate future behaviour (gc_collections,
  *    flips, init_launches) and the GC policy's live frequency;
- *  - every pending message queue in delivery order ((when, what, tag) —
+ *  - every pending message queue in delivery order ((when, cost, tag) —
  *    the os/dispatch_order.h contract makes the order canonical);
  *  - the scheduler's pending set (when + label) and the current time.
  *
@@ -26,7 +26,8 @@
  *  - Activity::instanceId() — allocated from a process-global counter,
  *    so it differs between two executions that are otherwise in
  *    identical states;
- *  - raw message seq / analysis ids — per-execution tickets;
+ *  - arrival tickets, event ids and analysis ids — per-execution
+ *    counters;
  *  - object addresses — never meaningful across executions;
  *  - monotone telemetry counters with no behavioural feedback.
  */

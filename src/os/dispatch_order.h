@@ -3,18 +3,19 @@
  * DispatchOrder: the named tie-break contract of the discrete-event
  * core.
  *
- * Every pending-work container in the simulator — SimScheduler's event
- * heap and each Looper's MessageQueue — orders work by the pair
- * (when, seq): earliest virtual delivery time first, FIFO among equal
- * times by arrival ticket. Android's MessageQueue guarantees exactly
- * this (messages posted at the same uptime run in post order), and the
+ * Pending work is delivered in the order of the pair (when, seq):
+ * earliest virtual delivery time first, FIFO among equal times by
+ * arrival ticket. Android's MessageQueue guarantees exactly this
+ * (messages posted at the same uptime run in post order), and the
  * lazy-migration and coin-flip logic depend on it for determinism.
  *
- * The contract lives here, in one header, so the production heaps and
- * the model checker's NondetSeam (which enumerates the events tied at
- * the minimum `when` as explicit scheduling choices) can never silently
- * diverge: both compare through these functions, and
- * tests/os/dispatch_order_test.cc pins the semantics.
+ * One container implements the contract: PendingHeap
+ * (os/pending_heap.h), which holds SimScheduler's events and each
+ * Looper's MessageQueue. The model checker's NondetSeam lists the
+ * events tied at the minimum `when` in the same order
+ * (SimScheduler::runnableNow), so its choice 0 is always the event the
+ * production scheduler runs next. tests/os/dispatch_order_test.cc pins
+ * the semantics.
  */
 #ifndef RCHDROID_OS_DISPATCH_ORDER_H
 #define RCHDROID_OS_DISPATCH_ORDER_H
@@ -42,20 +43,6 @@ firesBefore(const Key &a, const Key &b)
     if (a.when != b.when)
         return a.when < b.when;
     return a.seq < b.seq;
-}
-
-/** Heap predicate "a is delivered after b" (for std min-heaps). */
-constexpr bool
-firesAfter(const Key &a, const Key &b)
-{
-    return firesBefore(b, a);
-}
-
-/** Two keys are tied when they share a delivery time; FIFO breaks it. */
-constexpr bool
-tied(const Key &a, const Key &b)
-{
-    return a.when == b.when;
 }
 
 } // namespace rchdroid::dispatch_order

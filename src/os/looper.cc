@@ -28,6 +28,7 @@ Looper::~Looper()
 void
 Looper::enqueue(Message msg)
 {
+    RCH_ASSERT(msg.callback != nullptr, "message without callback: ", msg.tag);
     msg.when = std::max(msg.when, scheduler_.now());
     msg.analysis_id = ++next_msg_id_;
     obs::notify(&obs::Observer::onMessageSend, *this, msg.analysis_id,
@@ -62,7 +63,8 @@ Looper::enqueue(Message msg)
         }
     }
 #endif
-    queue_.enqueue(std::move(msg));
+    const SimTime when = msg.when;
+    queue_.push(when, std::move(msg));
     metrics::observe(metrics::Histogram::kQueueDepth,
                      static_cast<double>(queue_.size()));
     armWakeup();
@@ -118,7 +120,7 @@ Looper::armWakeup()
     // NondetSeam as "this looper is runnable": a looper has at most one
     // armed wakeup, so the label names the simulated thread uniquely.
     wakeup_event_ = scheduler_.scheduleAt(target, [this] { onWakeup(); },
-                                          EventLabel{this, name_.c_str()});
+                                          EventLabel{name_.c_str()});
 }
 
 void

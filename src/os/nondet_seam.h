@@ -9,12 +9,11 @@
  * due "now" may run in either order. The model checker needs to drive
  * both orders, so:
  *
- *  - every scheduled event may carry an EventLabel naming its logical
- *    owner (a looper wakeup, a binder leg, a harness timer); labels are
- *    stored in the closure slab, not in the 32-byte heap keys, so the
- *    hot sift path is unchanged;
- *  - SimScheduler::runnableNow() enumerates the live events tied at the
- *    minimum `when` — the candidate set of one scheduling choice;
+ *  - every scheduled event may carry an EventLabel naming it (a looper
+ *    wakeup, a binder leg); labels ride in the event's payload, not in
+ *    the heap keys, so the hot sift path is unchanged;
+ *  - SimScheduler::runnableNow() enumerates the pending events tied at
+ *    the minimum `when` — the candidate set of one scheduling choice;
  *  - SimScheduler::runEventById() dispatches one chosen candidate,
  *    overriding the FIFO default.
  *
@@ -32,15 +31,17 @@ namespace rchdroid {
  * Optional identity of a scheduled event, for the explorer only.
  *
  * `name` must outlive the event (loopers pass their own name storage;
- * static strings otherwise). Events without a label are treated by the
- * explorer as conservatively dependent on everything (never commuted
- * away by partial-order reduction).
+ * static strings otherwise). The explorer shows it as the choice's
+ * label and fingerprints the pending set by it; an unlabeled event (the
+ * ATMS's binder legs to its clients) shows as "?". Sleep sets ignore
+ * labels: they commute two choices whenever the footprints their steps
+ * were observed to touch are disjoint, labeled or not. Only the static
+ * independence guidance reads a label, to map a looper wakeup to its
+ * process, and it never prunes a choice point with an unlabeled option.
  */
 struct EventLabel
 {
-    /** The owning object (e.g. the Looper), for grouping; may be null. */
-    const void *owner = nullptr;
-    /** Stable human-readable owner name; null for unlabeled events. */
+    /** Stable human-readable name; null for unlabeled events. */
     const char *name = nullptr;
 };
 

@@ -72,11 +72,11 @@ class AndroidSystem::AtmsProxy final : public ActivityManager
         const std::uint64_t causal_id =
             beginTraceFlow(Looper::current(), "binder");
         // Labeled "binder" for the model checker's NondetSeam. Several
-        // binder legs may be tied at one instant; they share this label,
-        // which the explorer treats as conservatively dependent (binder
-        // delivery order towards the ATMS is a real ordering choice).
-        scheduler_.schedule(latency_, std::move(fn),
-                            EventLabel{this, "binder"}, causal_id);
+        // binder legs may be tied at one instant; both orders stay
+        // explored because both legs post to the ATMS looper, so their
+        // observed footprints overlap.
+        scheduler_.schedule(latency_, std::move(fn), EventLabel{"binder"},
+                            causal_id);
     }
 
     SimScheduler &scheduler_;
@@ -137,7 +137,7 @@ void
 AndroidSystem::onDispatchEnd(Looper &looper, SimTime start, SimTime end)
 {
     if (&looper.scheduler() == &scheduler_ && end > start)
-        cpu_.onBusyInterval(looper.name(), start, end, looper.currentTag());
+        cpu_.onBusyInterval(start, end, looper.currentTag());
 }
 
 void

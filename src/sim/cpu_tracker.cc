@@ -7,11 +7,10 @@
 namespace rchdroid::sim {
 
 void
-CpuTracker::onBusyInterval(const std::string &looper_name, SimTime start,
-                           SimTime end, const std::string &tag)
+CpuTracker::onBusyInterval(SimTime start, SimTime end, const std::string &tag)
 {
     RCH_ASSERT(end >= start, "inverted busy interval");
-    intervals_.push_back(BusyInterval{looper_name, start, end, tag});
+    intervals_.push_back(BusyInterval{start, end, tag});
 }
 
 SimDuration

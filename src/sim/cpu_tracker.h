@@ -17,7 +17,6 @@ namespace rchdroid::sim {
 /** One recorded busy interval. */
 struct BusyInterval
 {
-    std::string looper;
     SimTime start = 0;
     SimTime end = 0;
     std::string tag;
@@ -42,8 +41,7 @@ class CpuTracker
 {
   public:
     /** A message with `tag` occupied [start, end) of thread time. */
-    void onBusyInterval(const std::string &looper_name, SimTime start,
-                        SimTime end, const std::string &tag);
+    void onBusyInterval(SimTime start, SimTime end, const std::string &tag);
 
     const std::vector<BusyInterval> &intervals() const { return intervals_; }
     void clear() { intervals_.clear(); }

@@ -1,13 +1,13 @@
 /**
  * @file
  * Randomized property tests for causal-id hygiene in the two payload
- * slabs the flow edges travel through: MessageQueue's message slab and
- * SimScheduler's event slab. Both recycle slots aggressively (free-list
- * reuse, wholesale reset on drain), so the property under test is that
- * a recycled slot's NEW occupant never observes the PREVIOUS occupant's
- * causal id — a stale id would stitch a flow edge onto an unrelated
- * dispatch and the critical-path walk would cross into the wrong
- * episode.
+ * slabs the flow edges travel through: a Looper's MessageQueue and
+ * SimScheduler's event set, both PendingHeap slabs. Both recycle slots
+ * aggressively (free-list reuse after every pop and cancel), so the
+ * property under test is that a recycled slot's NEW occupant never
+ * observes the PREVIOUS occupant's causal id — a stale id would stitch
+ * a flow edge onto an unrelated dispatch and the critical-path walk
+ * would cross into the wrong episode.
  *
  * Fixed seeds keep the tests deterministic; each run still churns
  * hundreds of enqueue/pop/cancel interleavings over a handful of slots,
@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <random>
 #include <set>
@@ -32,6 +33,7 @@ namespace {
 
 TEST(CausalSlab, MessageQueueRecyclingNeverLeaksCausalId)
 {
+    constexpr SimTime kEnd = std::numeric_limits<SimTime>::max();
     std::mt19937 rng(20260808u);
     MessageQueue queue;
 
@@ -49,7 +51,8 @@ TEST(CausalSlab, MessageQueueRecyclingNeverLeaksCausalId)
         msg.tag = "m" + std::to_string(msg.cost);
         msg.causal_id = causal;
         pending[msg.cost] = msg.causal_id;
-        queue.enqueue(std::move(msg));
+        const SimTime when = msg.when;
+        queue.push(when, std::move(msg));
     };
 
     auto check_pop = [&](const Message &msg) {
@@ -75,17 +78,17 @@ TEST(CausalSlab, MessageQueueRecyclingNeverLeaksCausalId)
                                                 next_name)
                                   : 0u);
         } else if (op < 8) {
-            if (auto msg = queue.popFront())
+            if (auto msg = queue.popDue(kEnd))
                 check_pop(*msg);
         } else {
-            // Drain to empty now and then: the slab resets wholesale
-            // and the next enqueue rebuilds it from slot 0.
-            while (auto msg = queue.popFront())
+            // Drain to empty now and then: every slot is vacant and the
+            // next pushes refill them from the free list.
+            while (auto msg = queue.popDue(kEnd))
                 check_pop(*msg);
             EXPECT_TRUE(queue.empty());
         }
     }
-    while (auto msg = queue.popFront())
+    while (auto msg = queue.popDue(kEnd))
         check_pop(*msg);
     EXPECT_TRUE(pending.empty());
     EXPECT_GT(popped, 100u);

@@ -67,7 +67,7 @@ TEST(ParseJobsFlag, ExtractsAndStripsTheFlag)
 
     char *argv3[] = {prog, other, nullptr};
     int argc3 = 2;
-    EXPECT_EQ(parseJobsFlag(argc3, argv3), 0);
+    EXPECT_EQ(parseJobsFlag(argc3, argv3), defaultJobs());
     EXPECT_EQ(argc3, 2);
 }
 

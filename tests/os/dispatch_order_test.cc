@@ -1,15 +1,16 @@
 /**
  * @file
  * Pins the os/dispatch_order.h tie-break contract — delivery ordered by
- * (when, seq), FIFO among equal times — across every container that
- * claims it: the dispatch_order primitives themselves, MessageQueue,
- * SimScheduler's default dispatch, and the NondetSeam views
- * (runnableNow / pendingInOrder / runEventById) the model checker
- * enumerates schedules through. If the production heaps and the mc seam
+ * (when, seq), FIFO among equal times — across everything that claims
+ * it: the dispatch_order primitives themselves, the PendingHeap behind
+ * MessageQueue, SimScheduler's default dispatch, and the NondetSeam
+ * views (runnableNow / pendingInOrder / runEventById) the model checker
+ * enumerates schedules through. If the production heap and the mc seam
  * ever diverge, one of these tests fails.
  */
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,33 +22,25 @@
 namespace rchdroid {
 namespace {
 
+/** Due time later than every message: popDue(kEnd) pops the head. */
+constexpr SimTime kEnd = std::numeric_limits<SimTime>::max();
+
 TEST(DispatchOrderContract, EarlierWhenFiresFirst)
 {
     const dispatch_order::Key early{milliseconds(1), 99};
     const dispatch_order::Key late{milliseconds(2), 0};
     EXPECT_TRUE(dispatch_order::firesBefore(early, late));
     EXPECT_FALSE(dispatch_order::firesBefore(late, early));
-    EXPECT_FALSE(dispatch_order::tied(early, late));
 }
 
 TEST(DispatchOrderContract, EqualWhenBreaksFifoBySeq)
 {
     const dispatch_order::Key first{milliseconds(5), 7};
     const dispatch_order::Key second{milliseconds(5), 8};
-    EXPECT_TRUE(dispatch_order::tied(first, second));
     EXPECT_TRUE(dispatch_order::firesBefore(first, second));
     EXPECT_FALSE(dispatch_order::firesBefore(second, first));
-}
-
-TEST(DispatchOrderContract, FiresAfterIsTheInverse)
-{
-    const dispatch_order::Key a{milliseconds(5), 7};
-    const dispatch_order::Key b{milliseconds(5), 8};
-    EXPECT_TRUE(dispatch_order::firesAfter(b, a));
-    EXPECT_FALSE(dispatch_order::firesAfter(a, b));
     // Irreflexive: a strict order never puts a key before itself.
-    EXPECT_FALSE(dispatch_order::firesBefore(a, a));
-    EXPECT_FALSE(dispatch_order::firesAfter(a, a));
+    EXPECT_FALSE(dispatch_order::firesBefore(first, first));
 }
 
 /** MessageQueue pops tied messages in post order. */
@@ -59,20 +52,20 @@ TEST(DispatchOrderContract, MessageQueueFifoAmongEqualWhens)
         Message msg;
         msg.callback = [&ran, i] { ran.push_back(i); };
         msg.when = milliseconds(10); // all tied
-        queue.enqueue(std::move(msg));
+        queue.push(msg.when, std::move(msg));
     }
     // An earlier message posted later still jumps the tied block.
     Message early;
     early.callback = [&ran] { ran.push_back(-1); };
     early.when = milliseconds(5);
-    queue.enqueue(std::move(early));
+    queue.push(early.when, std::move(early));
 
-    while (auto msg = queue.popFront())
+    while (auto msg = queue.popDue(kEnd))
         msg->callback();
     EXPECT_EQ(ran, (std::vector<int>{-1, 0, 1, 2, 3}));
 }
 
-/** forEachPendingInOrder observes the same order popping would. */
+/** forEachInOrder observes the same order popping would. */
 TEST(DispatchOrderContract, MessageQueuePendingInOrderMatchesPopOrder)
 {
     MessageQueue queue;
@@ -84,15 +77,17 @@ TEST(DispatchOrderContract, MessageQueuePendingInOrderMatchesPopOrder)
         msg.callback = [] {};
         msg.when = whens[i];
         msg.cost = i;
-        queue.enqueue(std::move(msg));
+        queue.push(msg.when, std::move(msg));
     }
 
     std::vector<SimDuration> visited;
-    queue.forEachPendingInOrder(
-        [&visited](const Message &msg) { visited.push_back(msg.cost); });
+    queue.forEachInOrder(
+        [&visited](SimTime, MessageQueue::Ticket, const Message &msg) {
+            visited.push_back(msg.cost);
+        });
 
     std::vector<SimDuration> popped;
-    while (auto msg = queue.popFront())
+    while (auto msg = queue.popDue(kEnd))
         popped.push_back(msg->cost);
 
     EXPECT_EQ(visited, popped);
@@ -122,9 +117,8 @@ TEST(DispatchOrderContract, RunnableNowEnumeratesTiedHeadSetFifo)
     std::vector<EventId> tied_ids;
     for (int i = 0; i < 3; ++i)
         tied_ids.push_back(scheduler.schedule(
-            milliseconds(2), [] {}, EventLabel{nullptr, kNames[i]}));
-    scheduler.schedule(milliseconds(9), [] {},
-                       EventLabel{nullptr, "future"});
+            milliseconds(2), [] {}, EventLabel{kNames[i]}));
+    scheduler.schedule(milliseconds(9), [] {}, EventLabel{"future"});
 
     const std::vector<RunnableEvent> runnable = scheduler.runnableNow();
     ASSERT_EQ(runnable.size(), 3u); // the future event is not a choice
@@ -132,7 +126,7 @@ TEST(DispatchOrderContract, RunnableNowEnumeratesTiedHeadSetFifo)
         EXPECT_EQ(runnable[i].id, tied_ids[i]);
         EXPECT_STREQ(runnable[i].label.name, kNames[i]);
         if (i) {
-            EXPECT_LT(runnable[i - 1].seq, runnable[i].seq);
+            EXPECT_LT(runnable[i - 1].id, runnable[i].id);
         }
         EXPECT_EQ(runnable[i].when, runnable[0].when);
     }
@@ -160,8 +154,7 @@ TEST(DispatchOrderContract, PendingInOrderIsDeliveryOrder)
     EXPECT_EQ(pending[2].id, mid_b);
     EXPECT_EQ(pending[3].id, late);
     EXPECT_TRUE(dispatch_order::firesBefore(
-        {pending[1].when, pending[1].seq},
-        {pending[2].when, pending[2].seq}));
+        {pending[1].when, pending[1].id}, {pending[2].when, pending[2].id}));
 }
 
 /**

@@ -182,5 +182,14 @@ TEST(LooperDeath, ConsumeCpuOutsideDispatchPanics)
     EXPECT_DEATH(looper.consumeCpu(1), "outside a dispatch");
 }
 
+TEST(LooperDeath, NullCallbackPanics)
+{
+    SimScheduler scheduler;
+    Looper looper(scheduler, "t");
+    Message bad;
+    bad.when = 1;
+    EXPECT_DEATH(looper.enqueue(std::move(bad)), "without callback");
+}
+
 } // namespace
 } // namespace rchdroid

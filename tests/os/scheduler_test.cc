@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "os/scheduler.h"
@@ -87,6 +88,55 @@ TEST(Scheduler, DoubleCancelSecondFails)
     EXPECT_FALSE(scheduler.cancel(id));
 }
 
+TEST(Scheduler, CancelAfterRunFails)
+{
+    // The event already ran; another one still pending must not make
+    // the cancel look successful.
+    SimScheduler scheduler;
+    int ran = 0;
+    const EventId done = scheduler.schedule(milliseconds(1), [&] { ++ran; });
+    scheduler.schedule(milliseconds(2), [&] { ++ran; });
+    ASSERT_TRUE(scheduler.step());
+    EXPECT_FALSE(scheduler.cancel(done));
+    EXPECT_EQ(scheduler.pendingEvents(), 1u);
+    scheduler.runUntilIdle();
+    EXPECT_EQ(ran, 2);
+}
+
+TEST(Scheduler, CancelOfTheDispatchingEventFails)
+{
+    // Cancelling from inside the event being dispatched cannot stop it,
+    // so it must report failure, and the other event still runs.
+    SimScheduler scheduler;
+    EventId self = kInvalidEventId;
+    bool cancelled = true;
+    int ran = 0;
+    self = scheduler.schedule(milliseconds(1), [&] {
+        cancelled = scheduler.cancel(self);
+        ++ran;
+    });
+    scheduler.schedule(milliseconds(2), [&] { ++ran; });
+    scheduler.runUntilIdle();
+    EXPECT_FALSE(cancelled);
+    EXPECT_EQ(ran, 2);
+}
+
+TEST(Scheduler, CancelDestroysTheClosureAtOnce)
+{
+    // Whatever a cancelled closure keeps alive is released by cancel()
+    // itself, even while other events stay pending.
+    SimScheduler scheduler;
+    auto held = std::make_shared<int>(7);
+    const std::weak_ptr<int> watch = held;
+    const EventId id =
+        scheduler.schedule(milliseconds(1), [held = std::move(held)] {});
+    scheduler.schedule(milliseconds(2), [] {});
+    ASSERT_FALSE(watch.expired());
+    EXPECT_TRUE(scheduler.cancel(id));
+    EXPECT_TRUE(watch.expired());
+    EXPECT_EQ(scheduler.pendingEvents(), 1u);
+}
+
 TEST(Scheduler, StepExecutesExactlyOne)
 {
     SimScheduler scheduler;
@@ -119,10 +169,9 @@ TEST(Scheduler, PendingEventsReportsOnlyLiveEvents)
     scheduler.cancel(a);
     scheduler.cancel(c);
     EXPECT_EQ(scheduler.pendingEvents(), 1u);
-    EXPECT_EQ(scheduler.cancelledTombstones(), 2u);
 }
 
-TEST(Scheduler, TombstonesPurgedWhenQueueDrains)
+TEST(Scheduler, CancelledMiddleEventIsSkipped)
 {
     SimScheduler scheduler;
     int ran = 0;
@@ -133,20 +182,6 @@ TEST(Scheduler, TombstonesPurgedWhenQueueDrains)
     scheduler.runUntilIdle();
     EXPECT_EQ(ran, 2);
     EXPECT_EQ(scheduler.pendingEvents(), 0u);
-    EXPECT_EQ(scheduler.cancelledTombstones(), 0u);
-}
-
-TEST(Scheduler, CancelRacingDispatchIsPurgedOnDrain)
-{
-    // Cancelling from inside the event being dispatched cannot stop it,
-    // but the stale tombstone must not outlive the drain.
-    SimScheduler scheduler;
-    EventId self = kInvalidEventId;
-    self = scheduler.schedule(milliseconds(1),
-                              [&] { scheduler.cancel(self); });
-    scheduler.schedule(milliseconds(2), [] {});
-    scheduler.runUntilIdle();
-    EXPECT_EQ(scheduler.cancelledTombstones(), 0u);
 }
 
 TEST(Scheduler, RunUntilDoesNotRunPastLimitWhenHeadCancelled)
@@ -193,29 +228,12 @@ TEST(Scheduler, SlotReuseKeepsOrderAndPayloads)
     for (int i = 16; i < 24; ++i)
         expected.push_back(i);
     EXPECT_EQ(order, expected);
-    EXPECT_EQ(scheduler.cancelledTombstones(), 0u);
-}
-
-TEST(Scheduler, AdvanceToMovesIdleClock)
-{
-    SimScheduler scheduler;
-    scheduler.advanceTo(seconds(5));
-    EXPECT_EQ(scheduler.now(), seconds(5));
-}
-
-TEST(Scheduler, AdvanceToSkipsOverCancelledHead)
-{
-    SimScheduler scheduler;
-    const EventId id = scheduler.schedule(milliseconds(10), [] {});
-    scheduler.cancel(id);
-    scheduler.advanceTo(milliseconds(30));
-    EXPECT_EQ(scheduler.now(), milliseconds(30));
 }
 
 TEST(SchedulerDeath, ScheduleInPastPanics)
 {
     SimScheduler scheduler;
-    scheduler.advanceTo(seconds(1));
+    scheduler.runUntil(seconds(1));
     EXPECT_DEATH(scheduler.scheduleAt(0, [] {}), "past");
 }
 

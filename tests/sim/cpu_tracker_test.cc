@@ -12,7 +12,7 @@ namespace {
 TEST(CpuTracker, BusyTimeClipsToWindow)
 {
     CpuTracker tracker;
-    tracker.onBusyInterval("t", milliseconds(10), milliseconds(30), "work");
+    tracker.onBusyInterval(milliseconds(10), milliseconds(30), "work");
     EXPECT_EQ(tracker.busyTime(0, milliseconds(100)), milliseconds(20));
     EXPECT_EQ(tracker.busyTime(milliseconds(20), milliseconds(25)),
               milliseconds(5));
@@ -22,8 +22,8 @@ TEST(CpuTracker, BusyTimeClipsToWindow)
 TEST(CpuTracker, MultipleLoopersSum)
 {
     CpuTracker tracker;
-    tracker.onBusyInterval("ui", 0, milliseconds(10), "a");
-    tracker.onBusyInterval("worker", 0, milliseconds(10), "b");
+    tracker.onBusyInterval(0, milliseconds(10), "a");
+    tracker.onBusyInterval(0, milliseconds(10), "b");
     EXPECT_EQ(tracker.busyTime(0, milliseconds(10)), milliseconds(20));
     // One core: 200%; six cores: 33%.
     EXPECT_DOUBLE_EQ(tracker.utilization(0, milliseconds(10), 1), 2.0);
@@ -33,7 +33,7 @@ TEST(CpuTracker, MultipleLoopersSum)
 TEST(CpuTracker, SeriesWindows)
 {
     CpuTracker tracker;
-    tracker.onBusyInterval("t", milliseconds(5), milliseconds(15), "x");
+    tracker.onBusyInterval(milliseconds(5), milliseconds(15), "x");
     const auto series =
         tracker.series(0, milliseconds(30), milliseconds(10), 1);
     ASSERT_EQ(series.size(), 3u);
@@ -46,8 +46,8 @@ TEST(CpuTracker, SeriesWindows)
 TEST(CpuTracker, IntervalsTagged)
 {
     CpuTracker tracker;
-    tracker.onBusyInterval("t", 0, 1, "task.onPostExecute");
-    tracker.onBusyInterval("t", 1, 2, "launch");
+    tracker.onBusyInterval(0, 1, "task.onPostExecute");
+    tracker.onBusyInterval(1, 2, "launch");
     const auto found = tracker.intervalsTagged("onPostExecute");
     ASSERT_EQ(found.size(), 1u);
     EXPECT_EQ(found[0].duration(), 1);
@@ -56,7 +56,7 @@ TEST(CpuTracker, IntervalsTagged)
 TEST(CpuTracker, ClearResets)
 {
     CpuTracker tracker;
-    tracker.onBusyInterval("t", 0, 5, "x");
+    tracker.onBusyInterval(0, 5, "x");
     tracker.clear();
     EXPECT_TRUE(tracker.intervals().empty());
     EXPECT_EQ(tracker.busyTime(0, 10), 0);

@@ -42,7 +42,7 @@ TEST(EnergyModel, AveragePowerFromTracker)
 {
     CpuTracker tracker;
     // 3 ms busy on one looper in a 6-core, 10 ms window → util 5%.
-    tracker.onBusyInterval("ui", 0, milliseconds(3), "w");
+    tracker.onBusyInterval(0, milliseconds(3), "w");
     EnergyModel model(testPower(), 6);
     EXPECT_NEAR(model.averagePowerWatts(tracker, 0, milliseconds(10)),
                 4.0 + 2.0 * 0.05, 1e-9);
@@ -61,9 +61,8 @@ TEST(EnergyModel, IdleShadowAddsNothing)
     // The paper's §5.6 argument: a retained-but-inactive instance
     // contributes no utilisation, hence no power.
     CpuTracker with_shadow, without_shadow;
-    with_shadow.onBusyInterval("ui", 0, milliseconds(2), "foreground work");
-    without_shadow.onBusyInterval("ui", 0, milliseconds(2),
-                                  "foreground work");
+    with_shadow.onBusyInterval(0, milliseconds(2), "foreground work");
+    without_shadow.onBusyInterval(0, milliseconds(2), "foreground work");
     EnergyModel model(testPower(), 6);
     EXPECT_DOUBLE_EQ(
         model.averagePowerWatts(with_shadow, 0, seconds(1)),

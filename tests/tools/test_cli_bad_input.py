@@ -6,11 +6,13 @@ message on stderr that names the bad flag or input, and no death on a
 signal. The shell is the exception: a bad command argument is a command
 error, so the session goes on, prints an `error:` line on stdout and
 exits 1. The examples share their flag parsing (examples/observability.h),
-so quickstart stands for all five. Runs with the standard library only;
-CTest passes the built binaries' paths:
+so quickstart stands for all five; bench_fig7 likewise stands for the
+benches that parse `--jobs` with bench/parallel_runner.h. Runs with the
+standard library only; CTest passes the built binaries' paths:
 
   python3 tests/tools/test_cli_bad_input.py RCHDROID_MC RCHDROID_PROFILE \
-      RCHDROID_SHELL RCHDROID_SA QUICKSTART
+      RCHDROID_SHELL RCHDROID_SA QUICKSTART BENCH_FIG7 BENCH_SIMCORE \
+      BENCH_TABLE2
 """
 
 import json
@@ -25,6 +27,9 @@ RCHDROID_PROFILE = None
 RCHDROID_SHELL = None
 RCHDROID_SA = None
 QUICKSTART = None
+BENCH_FIG7 = None
+BENCH_SIMCORE = None
+BENCH_TABLE2 = None
 QUICKSTART_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "observability_golden",
                                 "quickstart.trace.json")
@@ -44,10 +49,10 @@ def strings_in(value):
 
 
 class CliCase(unittest.TestCase):
-    def run_checked(self, argv, expected_code, stdin=None):
+    def run_checked(self, argv, expected_code, stdin=None, env=None):
         """Run argv; it must exit `expected_code`, not die on a signal."""
         proc = subprocess.run(argv, capture_output=True, text=True,
-                              input=stdin, timeout=120)
+                              input=stdin, env=env, timeout=120)
         self.assertGreaterEqual(
             proc.returncode, 0,
             f"{argv} died on signal {-proc.returncode}")
@@ -56,9 +61,9 @@ class CliCase(unittest.TestCase):
                          f"stderr={proc.stderr!r}")
         return proc
 
-    def assert_rejected(self, argv, message):
+    def assert_rejected(self, argv, message, env=None):
         """Run argv; it must exit 2 with `message` on stderr."""
-        self.assertIn(message, self.run_checked(argv, 2).stderr)
+        self.assertIn(message, self.run_checked(argv, 2, env=env).stderr)
 
 
 class RchdroidMcTest(CliCase):
@@ -221,9 +226,43 @@ class ExampleTest(CliCase):
             self.assertFalse(os.path.exists(path))
 
 
+class BenchTest(CliCase):
+    # Every case used to run the whole bench with the default job count
+    # (bench_table2 ignored its arguments) and exit 0. Only non-numeric,
+    # negative, zero and missing counts are tried: a valid huge count
+    # would start one thread per cell.
+    def test_jobs_is_strict(self):
+        for bench in (BENCH_FIG7, BENCH_SIMCORE):
+            self.assert_rejected([bench, "--jobs=abc"],
+                                 '--jobs: expected an integer in '
+                                 '[1, 2147483647], got "abc"')
+        self.assert_rejected([BENCH_FIG7, "--jobs=-4"], 'got "-4"')
+        self.assert_rejected([BENCH_FIG7, "--jobs=0"], 'got "0"')
+        self.assert_rejected([BENCH_FIG7, "--jobs", "x"], 'got "x"')
+        self.assert_rejected([BENCH_FIG7, "--jobs"], 'got ""')
+
+    def test_jobs_environment_variable_is_strict(self):
+        for value in ("zz", "0"):
+            self.assert_rejected(
+                [BENCH_FIG7], f'RCHDROID_JOBS: expected an integer in '
+                f'[1, 2147483647], got "{value}"',
+                env=dict(os.environ, RCHDROID_JOBS=value))
+
+    def test_unknown_flag(self):
+        self.assert_rejected([BENCH_FIG7, "--bogus"],
+                             "unknown flag: --bogus\n"
+                             "usage: bench_fig7 [--jobs=N]")
+        self.assert_rejected([BENCH_FIG7, "--jobs=2", "stray"],
+                             "unknown flag: stray")
+        self.assert_rejected([BENCH_SIMCORE, "--bogus"],
+                             "usage: bench_simcore [--jobs=N] [--out=PATH]")
+        self.assert_rejected([BENCH_TABLE2, "--jobs=2"],
+                             "unknown flag: --jobs=2\nusage: bench_table2\n")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) < 6:
+    if len(sys.argv) < 9:
         sys.exit(__doc__)
-    RCHDROID_MC, RCHDROID_PROFILE, RCHDROID_SHELL, RCHDROID_SA, QUICKSTART = \
-        sys.argv[1:6]
-    unittest.main(argv=[sys.argv[0]] + sys.argv[6:])
+    (RCHDROID_MC, RCHDROID_PROFILE, RCHDROID_SHELL, RCHDROID_SA, QUICKSTART,
+     BENCH_FIG7, BENCH_SIMCORE, BENCH_TABLE2) = sys.argv[1:9]
+    unittest.main(argv=[sys.argv[0]] + sys.argv[9:])
