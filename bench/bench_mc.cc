@@ -7,12 +7,16 @@
  * (the scenario's MHP independence spec, analysis on, all oracles),
  * then every kCorpusStride-th app of sa::fullCorpus() in both handling
  * modes (makeAppScenario, expect_clean from sa::analyzeApp). Each row
- * reports executions/s and schedules/s plus the deterministic
- * exploration counters; corpus rows are keyed "app:<Name>/<mode>".
- * Results land in a JSON file (--out=PATH, default BENCH_mc.json) that
- * the CI perf-smoke job archives and compares against
- * bench/BENCH_mc.baseline.json via tools/compare_mc.py: the counters
- * gate hard, wall-clock numbers are advisory on shared runners.
+ * reports executions/s and schedules/s, the deterministic exploration
+ * counters and `allocations`, the operator new calls made during the
+ * exploration (alloc_counter.h); corpus rows are keyed
+ * "app:<Name>/<mode>". Results land in a JSON file (--out=PATH, default
+ * BENCH_mc.json) that the CI perf-smoke job archives and compares
+ * against bench/BENCH_mc.baseline.json via tools/compare_mc.py: the
+ * counters gate hard, allocations may exceed the baseline by 2%, and
+ * wall-clock numbers are advisory on shared runners. Allocations repeat
+ * exactly only with RCHDROID_JOBS=1: worker threads each build their
+ * own per-thread caches.
  */
 #include <chrono>
 #include <climits>
@@ -21,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "mc/app_scenario.h"
 #include "mc/explorer.h"
 #include "mc/scenario.h"
@@ -97,21 +102,26 @@ main(int argc, char **argv)
         options.max_depth = depth;
         if (!scenario.independence.empty())
             options.independence = &scenario.independence;
+        const std::uint64_t allocations_before =
+            rchdroid::bench::allocationCount();
         const auto start = std::chrono::steady_clock::now();
         const rchdroid::mc::ExplorerReport report = explore(options);
         const double wall_ms = std::chrono::duration<double, std::milli>(
                                    std::chrono::steady_clock::now() - start)
                                    .count();
+        const std::uint64_t allocations =
+            rchdroid::bench::allocationCount() - allocations_before;
         const ExplorerStats &stats = report.stats;
         total_ms += wall_ms;
         total_executions += stats.executions;
         total_schedules += stats.schedules_covered;
 
         std::printf("%-16s schedules %llu  exec %llu  replayed %llu  "
-                    "violations %zu  wall %.1f ms  %.0f exec/s\n",
+                    "violations %zu  allocs %llu  wall %.1f ms  "
+                    "%.0f exec/s\n",
                     name.c_str(), ull(stats.schedules_covered),
                     ull(stats.executions), ull(stats.events_replayed),
-                    report.violations.size(), wall_ms,
+                    report.violations.size(), ull(allocations), wall_ms,
                     perSecond(stats.executions, wall_ms));
         std::fprintf(
             out,
@@ -120,15 +130,16 @@ main(int argc, char **argv)
             "\"visited_hits\": %llu, \"sleep_skips\": %llu, "
             "\"mhp_prunes\": %llu, \"mhp_sleep_keeps\": %llu, "
             "\"events_replayed\": %llu, \"truncated\": %s, "
-            "\"violations\": %zu, \"wall_ms\": %.3f, "
-            "\"executions_per_sec\": %.1f, \"schedules_per_sec\": %.1f}",
+            "\"violations\": %zu, \"allocations\": %llu, "
+            "\"wall_ms\": %.3f, \"executions_per_sec\": %.1f, "
+            "\"schedules_per_sec\": %.1f}",
             first_row ? "" : ",\n", name.c_str(),
             ull(stats.schedules_covered), ull(stats.executions),
             ull(stats.nodes), ull(stats.distinct_states),
             ull(stats.visited_hits), ull(stats.sleep_skips),
             ull(stats.mhp_prunes), ull(stats.mhp_sleep_keeps),
             ull(stats.events_replayed), stats.truncated ? "true" : "false",
-            report.violations.size(), wall_ms,
+            report.violations.size(), ull(allocations), wall_ms,
             perSecond(stats.executions, wall_ms),
             perSecond(stats.schedules_covered, wall_ms));
         first_row = false;

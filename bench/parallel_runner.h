@@ -16,7 +16,6 @@
 #define RCHDROID_BENCH_PARALLEL_RUNNER_H
 
 #include <atomic>
-#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -25,39 +24,10 @@
 #include <thread>
 #include <vector>
 
+#include "platform/jobs.h"
 #include "platform/logging.h"
-#include "platform/strings.h"
 
 namespace rchdroid::bench {
-
-/**
- * A job count given as `what` (a flag or environment variable): a
- * positive integer, or the parse error on stderr and exit 2.
- */
-inline int
-parseJobCount(const std::string &text, const std::string &what)
-{
-    const Result<std::int64_t> parsed = parseInteger(text, 1, INT_MAX, what);
-    if (!parsed) {
-        std::fprintf(stderr, "%s\n", parsed.status().message().c_str());
-        std::exit(2);
-    }
-    return static_cast<int>(parsed.value());
-}
-
-/**
- * Worker count used when none is requested explicitly: the
- * RCHDROID_JOBS environment variable if set (a malformed value exits
- * 2), else the hardware concurrency (at least 1).
- */
-inline int
-defaultJobs()
-{
-    if (const char *env = std::getenv("RCHDROID_JOBS"))
-        return parseJobCount(env, "RCHDROID_JOBS");
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? static_cast<int>(hw) : 1;
-}
 
 /**
  * Extract a `--jobs=N` (or `--jobs N`) flag from a bench binary's argv.

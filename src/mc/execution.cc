@@ -9,15 +9,16 @@ namespace rchdroid::mc {
 
 namespace {
 
-/** Options at the current instant: due events, then injections. */
+/**
+ * A choice point's options: the due events in `runnable`, then, while
+ * the budget lasts, the injections (after an explicit "end the window"
+ * when no event is due, so the default stays injection-free).
+ */
 std::vector<ChoiceOption>
-buildOptions(SimScheduler &scheduler, const Scenario &scenario,
-             SimTime deadline, bool can_inject)
+buildOptions(const std::vector<RunnableEvent> &runnable,
+             const Scenario &scenario, bool can_inject)
 {
     std::vector<ChoiceOption> options;
-    std::vector<RunnableEvent> runnable = scheduler.runnableNow();
-    if (!runnable.empty() && runnable.front().when > deadline)
-        runnable.clear(); // nothing due inside the window any more
     for (const RunnableEvent &event : runnable) {
         ChoiceOption option;
         option.kind = ChoiceOption::Kind::Event;
@@ -27,8 +28,6 @@ buildOptions(SimScheduler &scheduler, const Scenario &scenario,
     }
     if (can_inject) {
         if (options.empty()) {
-            // Idle device: the default must stay injection-free, so
-            // offer "end the window" as option 0.
             ChoiceOption end;
             end.kind = ChoiceOption::Kind::EndWindow;
             end.label = "end";
@@ -53,11 +52,16 @@ runExecution(const ExecutionOptions &options)
     RCH_ASSERT(options.scenario != nullptr, "runExecution without scenario");
     const Scenario &scenario = *options.scenario;
 
-    // Subscribe the footprint recorder and our analyzer (abort off)
-    // BEFORE the system exists, so they see its construction too. The
-    // system brings no analyzer of its own: with the environment's
-    // abort-on-violation default it would kill the run, and with
-    // run_analysis off no analyzer may run at all.
+    // Declared first, so it outlives the recorder, which writes into its
+    // choice points during recorded steps.
+    ExecutionResult result;
+
+    // Subscribe the footprint recorder (stopped until a recorded step)
+    // and our analyzer (abort off) BEFORE the system exists, so the
+    // analyzer sees its construction too. The system brings no analyzer
+    // of its own: with the environment's abort-on-violation default it
+    // would kill the run, and with run_analysis off no analyzer may run
+    // at all.
     FootprintRecorder footprint;
     obs::Subscription footprint_subscription(footprint);
     std::optional<analysis::Analyzer> analyzer;
@@ -76,7 +80,6 @@ runExecution(const ExecutionOptions &options)
     for (auto &oracle : oracles)
         oracle->onStart(system, checker);
 
-    ExecutionResult result;
     SimScheduler &scheduler = system.scheduler();
     const SimTime deadline = scheduler.now() + scenario.horizon;
     int injections_used = 0;
@@ -93,61 +96,65 @@ runExecution(const ExecutionOptions &options)
     };
 
     while (!violated && scheduler.now() < deadline) {
+        std::vector<RunnableEvent> runnable = scheduler.runnableNow();
+        if (!runnable.empty() && runnable.front().when > deadline)
+            runnable.clear(); // nothing due inside the window any more
         const bool within_depth =
             result.choice_points.size() <
             static_cast<std::size_t>(options.max_choice_points);
         const bool can_inject = within_depth && !scenario.injections.empty() &&
                                 injections_used < scenario.max_injections;
-        std::vector<ChoiceOption> choice_options =
-            buildOptions(scheduler, scenario, deadline, can_inject);
-        if (choice_options.empty())
-            break;
 
-        int chosen = 0;
-        if (choice_options.size() >= 2) {
-            if (!within_depth) {
-                result.hit_depth_cap = true;
-            } else {
-                ChoicePoint cp;
-                cp.options = choice_options;
-                cp.injections_left =
-                    scenario.max_injections - injections_used;
-                cp.events_before = scheduler.executedEvents();
-                const std::size_t depth = result.choice_points.size();
-                if (options.fingerprints && depth >= options.known_states) {
-                    cp.fingerprint_before = stateFingerprint(system);
-                    ++result.fingerprints_computed;
-                }
-                chosen = depth < options.schedule.size()
-                             ? options.schedule[depth]
-                             : 0;
-                if (chosen < 0 ||
-                    chosen >= static_cast<int>(choice_options.size()))
-                    chosen = 0; // out of range: take the default
-                cp.chosen = chosen;
-                result.choice_points.push_back(std::move(cp));
+        EventId event = kInvalidEventId;
+        std::optional<InjectionKind> injection;
+        if (can_inject || (within_depth && runnable.size() >= 2)) {
+            const std::size_t depth = result.choice_points.size();
+            ChoicePoint &cp = result.choice_points.emplace_back();
+            cp.options = buildOptions(runnable, scenario, can_inject);
+            cp.injections_left = scenario.max_injections - injections_used;
+            cp.events_before = scheduler.executedEvents();
+            if (options.fingerprints && depth >= options.known_states) {
+                cp.fingerprint_before = stateFingerprint(system);
+                ++result.fingerprints_computed;
             }
+            int chosen =
+                depth < options.schedule.size() ? options.schedule[depth] : 0;
+            if (chosen < 0 || chosen >= static_cast<int>(cp.options.size()))
+                chosen = 0; // out of range: take the default
+            cp.chosen = chosen;
+            const ChoiceOption &option = cp.options[chosen];
+            if (option.kind == ChoiceOption::Kind::EndWindow)
+                break;
+            if (option.kind == ChoiceOption::Kind::Injection)
+                injection = option.injection;
+            else
+                event = option.event_id;
+        } else if (!runnable.empty()) {
+            // One due event and nothing to inject is no choice; past the
+            // depth bound the default runs.
+            if (runnable.size() >= 2)
+                result.hit_depth_cap = true;
+            event = runnable.front().id;
+        } else {
+            break;
         }
 
-        const ChoiceOption &option = choice_options[chosen];
-        if (option.kind == ChoiceOption::Kind::EndWindow)
-            break;
-        footprint.beginStep();
-        if (option.kind == ChoiceOption::Kind::Injection) {
-            applyInjection(system, option.injection);
-            ++injections_used;
-        } else {
-            const bool ran = scheduler.runEventById(option.event_id);
-            RCH_ASSERT(ran, "controlled event vanished before running");
-        }
-        ++result.steps;
+        // The explorer reads a segment only from the branch's divergence
+        // point on (ExecutionOptions::known_states).
         if (!result.choice_points.empty() &&
             result.choice_points.size() >= options.known_states) {
             ChoicePoint &last = result.choice_points.back();
-            last.segment_footprint.insert(footprint.footprint().begin(),
-                                          footprint.footprint().end());
-            last.segment.merge(footprint.segment());
+            footprint.record(last.segment_footprint, last.segment);
         }
+        if (injection) {
+            applyInjection(system, *injection);
+            ++injections_used;
+        } else {
+            const bool ran = scheduler.runEventById(event);
+            RCH_ASSERT(ran, "controlled event vanished before running");
+        }
+        footprint.stop();
+        ++result.steps;
         violated = evaluate();
     }
 

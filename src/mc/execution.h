@@ -13,6 +13,9 @@
  * end of the schedule (or out of range) mean option 0, the default.
  * Option 0 is always "the event the stock scheduler would run next",
  * so the empty schedule reproduces the untouched simulator exactly.
+ * Options are built only where a choice point is recorded: a lone due
+ * event with no injection budget just runs, and so does the default
+ * event past the depth bound.
  *
  * The executor records each choice point (options, state fingerprint,
  * remaining injection budget) and the looper footprint of each taken

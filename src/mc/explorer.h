@@ -52,6 +52,20 @@
  * runExecution(), which fingerprints and records footprints only from
  * the branch's divergence point on: the DFS already holds the prefix's
  * from the spine (DESIGN.md §11).
+ *
+ * Replays run ahead of the DFS on RCHDROID_JOBS - 1 worker threads
+ * (defaultJobs(), platform/jobs.h), started at the first branch queued
+ * after the search's first 16 executions and joined before explore()
+ * returns or throws. The DFS still
+ * folds each result into the report in its own order, so every count,
+ * verdict and counterexample is the same at any worker count. A
+ * replay's exception is rethrown on the caller's thread when the DFS
+ * reaches that branch.
+ *
+ * Precondition: the caller installs no trace::Tracer, no
+ * metrics::MetricsRegistry and no obs::Observer subscriber around
+ * explore(). Those are thread-local, so a worker's replays would not
+ * see them while the caller's own replays would.
  */
 #ifndef RCHDROID_MC_EXPLORER_H
 #define RCHDROID_MC_EXPLORER_H
@@ -126,7 +140,10 @@ struct ExplorerReport
     std::vector<int> first_violation_schedule;
 };
 
-/** Explore the scenario's schedule space up to the configured bounds. */
+/**
+ * Explore the scenario's schedule space up to the configured bounds.
+ * The scenario's closures may run on several threads at once.
+ */
 ExplorerReport explore(const ExplorerOptions &options);
 
 } // namespace rchdroid::mc

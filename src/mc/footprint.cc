@@ -10,8 +10,10 @@ FootprintRecorder::onMessageSend(Looper &target, std::uint64_t msg_id,
 {
     (void)msg_id;
     (void)tag;
-    footprint_.insert(target.name());
-    segment_.posts.insert({target.name(), when});
+    if (footprint_ == nullptr)
+        return;
+    footprint_->insert(target.name());
+    segment_->posts.insert({target.name(), when});
 }
 
 void
@@ -19,8 +21,10 @@ FootprintRecorder::onDispatchBegin(Looper &looper, std::uint64_t msg_id,
                                    const std::string &tag)
 {
     (void)msg_id;
-    footprint_.insert(looper.name());
-    segment_.classes.insert(looper.name() + "#" + tag);
+    if (footprint_ == nullptr)
+        return;
+    footprint_->insert(looper.name());
+    segment_->classes.insert(looper.name() + "#" + tag);
 }
 
 void
@@ -28,10 +32,12 @@ FootprintRecorder::onSyncBarrier(const void *scope, const char *label)
 {
     (void)scope;
     (void)label;
+    if (footprint_ == nullptr)
+        return;
     // A barrier is global synchronisation: conservatively poison the
     // footprint so the step is treated as dependent with everything.
-    footprint_.insert("<barrier>");
-    segment_.barrier = true;
+    footprint_->insert("<barrier>");
+    segment_->barrier = true;
 }
 
 } // namespace rchdroid::mc

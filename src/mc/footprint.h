@@ -6,7 +6,10 @@
  *
  * Footprints feed the sleep-set reduction (src/mc/explorer.h): two
  * scheduling choices whose footprints are disjoint commute, so only one
- * of their two orders needs exploring.
+ * of their two orders needs exploring. The recorder starts stopped and
+ * records only the steps the explorer reads: runExecution points it at
+ * a choice point's segment before each such step, and stops it for
+ * construction, setup, replayed prefix steps and the tail.
  *
  * runExecution subscribes it (and, for the analysis oracle, its own
  * analysis::Analyzer with abort off) before building the system, and
@@ -41,31 +44,31 @@ struct SegmentSummary
     std::set<std::pair<std::string, SimTime>> posts;
     /** Conservatively dependent on everything when set. */
     bool barrier = false;
-
-    void
-    merge(const SegmentSummary &other)
-    {
-        classes.insert(other.classes.begin(), other.classes.end());
-        posts.insert(other.posts.begin(), other.posts.end());
-        barrier = barrier || other.barrier;
-    }
 };
 
 /** Footprint recorder. See file comment. */
 class FootprintRecorder final : public obs::Observer
 {
   public:
-    /** Start recording a fresh footprint for the next step. */
+    /**
+     * Add what the following steps touch to `footprint` (looper names;
+     * dispatches + message sends) and `segment` (classes, posts,
+     * barrier), until the next record() or stop(). Both must outlive
+     * the recording.
+     */
     void
-    beginStep()
+    record(std::set<std::string> &footprint, SegmentSummary &segment)
     {
-        footprint_.clear();
-        segment_ = SegmentSummary{};
+        footprint_ = &footprint;
+        segment_ = &segment;
     }
-    /** Loopers the step touched (dispatches + message sends). */
-    const std::set<std::string> &footprint() const { return footprint_; }
-    /** Classes/posts/barrier of the step, for the static oracle. */
-    const SegmentSummary &segment() const { return segment_; }
+    /** Record nothing until the next record(). */
+    void
+    stop()
+    {
+        footprint_ = nullptr;
+        segment_ = nullptr;
+    }
 
     void onMessageSend(Looper &target, std::uint64_t msg_id, SimTime when,
                        const std::string &tag) override;
@@ -74,8 +77,9 @@ class FootprintRecorder final : public obs::Observer
     void onSyncBarrier(const void *scope, const char *label) override;
 
   private:
-    std::set<std::string> footprint_;
-    SegmentSummary segment_;
+    /** Where the current step records; null while stopped. */
+    std::set<std::string> *footprint_ = nullptr;
+    SegmentSummary *segment_ = nullptr;
 };
 
 } // namespace rchdroid::mc

@@ -53,7 +53,15 @@ const char *injectionName(InjectionKind kind);
 /** Perform the injection on the device (toggles are self-inverse). */
 void applyInjection(sim::AndroidSystem &system, InjectionKind kind);
 
-/** One explorable workload. */
+/**
+ * One explorable workload.
+ *
+ * The explorer replays branches on worker threads (mc/explorer.h), so
+ * `make_options`, `setup` and `final_check` may run concurrently, each
+ * call on its own system. They must not mutate shared state: the
+ * catalogue's and makeAppScenario's closures capture by value and
+ * mutate nothing.
+ */
 struct Scenario
 {
     std::string name;

@@ -100,6 +100,34 @@ class RchdroidMcTest(CliCase):
     def test_removed_no_snapshot_flag(self):
         self.reject("--no-snapshot", "unknown flag: --no-snapshot")
 
+    def test_oracles_list_must_not_be_empty(self):
+        # Used to run all four oracles.
+        self.reject("--oracles=", "--oracles: empty list (known: crash, ")
+
+    def test_trace_out_needs_replay(self):
+        # Used to explore, exit and write no file.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "trace.json")
+            self.reject(f"--trace-out={path}", "--trace-out needs --replay")
+            self.assertFalse(os.path.exists(path))
+
+    def test_trace_out_needs_a_file_name(self):
+        # Used to replay, exit 0 and write nothing.
+        self.assert_rejected(
+            [RCHDROID_MC, "--app=seeded_gc", "--replay=0", "--trace-out="],
+            "--trace-out needs a file name")
+
+    def test_jobs_environment_variable_is_strict(self):
+        # RCHDROID_JOBS sets the explorer's worker count; a malformed
+        # value used to be ignored. No huge valid count is tried: it
+        # would start that many threads.
+        for value in ("zz", "-2", "0", ""):
+            self.assert_rejected(
+                [RCHDROID_MC, "--app=seeded_gc"],
+                f'RCHDROID_JOBS: expected an integer in [1, 2147483647], '
+                f'got "{value}"',
+                env=dict(os.environ, RCHDROID_JOBS=value))
+
 
 class RchdroidProfileTest(CliCase):
     def test_deeply_nested_trace_is_a_parse_error(self):

@@ -28,7 +28,8 @@ import compare_mc  # noqa: E402
 def cell(**overrides):
     """One scenario's bench_mc cell with sane defaults."""
     values = {key: 7 for key in compare_mc.COUNTERS}
-    values.update(truncated=False, wall_ms=25.0, executions_per_sec=4000.0)
+    values.update(truncated=False, allocations=10_000, wall_ms=25.0,
+                  executions_per_sec=4000.0)
     values.update(overrides)
     return values
 
@@ -69,6 +70,43 @@ class CounterGateTest(unittest.TestCase):
             report({"quickstart": cell()}, depth=12))
         self.assertEqual(len(errors), 1)
         self.assertIn("depth 12", errors[0])
+
+
+class AllocationGateTest(unittest.TestCase):
+    def check(self, base_cell, cur_cell):
+        return compare_mc.check_allocations(
+            report({"quickstart": base_cell}),
+            report({"quickstart": cur_cell}), compare_mc.ALLOC_THRESHOLD)
+
+    def test_growth_within_two_percent_passes(self):
+        self.assertEqual(self.check(cell(), cell(allocations=10_200)), [])
+
+    def test_growth_beyond_two_percent_fails(self):
+        errors = self.check(cell(), cell(allocations=10_201))
+        self.assertEqual(len(errors), 1)
+        self.assertIn("quickstart: allocations grew 10000 -> 10201",
+                      errors[0])
+
+    def test_fewer_allocations_pass(self):
+        self.assertEqual(self.check(cell(), cell(allocations=5_000)), [])
+
+    def test_allocations_are_not_an_exact_counter(self):
+        self.assertNotIn("allocations", compare_mc.COUNTERS)
+        base = report({"quickstart": cell()})
+        cur = report({"quickstart": cell(allocations=10_100)})
+        self.assertEqual(compare_mc.check_counters(base, cur), [])
+
+    def test_missing_count_in_run_fails(self):
+        cur = cell()
+        del cur["allocations"]
+        errors = self.check(cell(), cur)
+        self.assertEqual(
+            errors, ["scenario quickstart: allocations missing from run"])
+
+    def test_baseline_without_counts_carries_no_gate(self):
+        base = cell()
+        del base["allocations"]
+        self.assertEqual(self.check(base, cell(allocations=99_999)), [])
 
 
 class WallAdvisoryTest(unittest.TestCase):
@@ -116,6 +154,14 @@ class MainTest(unittest.TestCase):
                                   report({"quickstart": cell(executions=9)}))
         self.assertEqual(code, 1)
         self.assertIn("::error::", out)
+
+    def test_allocation_growth_exits_one(self):
+        code, out = self.run_main(
+            report({"quickstart": cell()}),
+            report({"quickstart": cell(allocations=11_000)}))
+        self.assertEqual(code, 1)
+        self.assertIn("::error::bench_mc scenario quickstart: allocations",
+                      out)
 
     def test_slow_run_only_warns(self):
         code, out = self.run_main(

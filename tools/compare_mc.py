@@ -12,6 +12,12 @@ the baseline's counters, or the script exits 1 with a ::error::. They
 move only when exploration or reduction logic changes, and the cure is
 refreshing the checked-in baseline in the same change.
 
+Heap allocations (`allocations`, operator new calls during a
+scenario's exploration) gate with a tolerance: a scenario whose count
+exceeds the baseline's by more than ALLOC_THRESHOLD fails. The count
+repeats exactly at RCHDROID_JOBS=1, the setting CI gates it at; fewer
+allocations pass, and refreshing the baseline records them.
+
 Wall-clock time only WARNS, on shared CI runners: a total wall time more
 than WALL_THRESHOLD above the baseline's gets a ::warning::.
 
@@ -25,6 +31,9 @@ import sys
 COUNTERS = ("schedules_covered", "executions", "choice_points",
             "distinct_states", "visited_hits", "sleep_skips", "mhp_prunes",
             "mhp_sleep_keeps", "events_replayed", "truncated", "violations")
+
+#: Relative per-scenario allocation growth over the baseline that fails.
+ALLOC_THRESHOLD = 0.02
 
 #: Relative total-wall growth over the baseline that draws a warning.
 WALL_THRESHOLD = 0.20
@@ -61,6 +70,28 @@ def check_counters(baseline, current):
     return errors
 
 
+def check_allocations(baseline, current, threshold):
+    """Gate: one error string per scenario whose allocations grew by more
+    than `threshold` over the baseline's. Baseline rows without a count
+    carry no gate."""
+    errors = []
+    for name, base_cell in sorted(baseline.get("scenarios", {}).items()):
+        base = base_cell.get("allocations")
+        cur_cell = current.get("scenarios", {}).get(name)
+        if base is None or cur_cell is None:
+            continue  # a missing scenario is check_counters' error
+        cur = cur_cell.get("allocations")
+        if cur is None:
+            errors.append(f"scenario {name}: allocations missing from run")
+        elif cur > (1.0 + threshold) * base:
+            errors.append(
+                f"scenario {name}: allocations grew {base} -> {cur}, more "
+                f"than {threshold:.0%} over the baseline — refresh "
+                f"bench/BENCH_mc.baseline.json if the growth is "
+                f"intentional")
+    return errors
+
+
 def check_wall(baseline, current, threshold):
     """Advisory: total wall time beyond (1 + threshold) x the baseline."""
     base_ms = baseline.get("totals", {}).get("wall_ms", 0.0)
@@ -82,6 +113,7 @@ def main(argv):
         return 1
 
     errors = check_counters(baseline, current)
+    errors += check_allocations(baseline, current, ALLOC_THRESHOLD)
     warnings = check_wall(baseline, current, WALL_THRESHOLD)
 
     for name, cell in sorted(current.get("scenarios", {}).items()):

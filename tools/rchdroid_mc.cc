@@ -34,9 +34,15 @@
  *   --trace-out=FILE  with --replay: write a Chrome trace-event JSON
  *                     of the replay (open in Perfetto)
  *
+ * The exploration replays branches on RCHDROID_JOBS - 1 worker threads
+ * (default: one per core, less one) ahead of the DFS; every count and
+ * verdict is the same at any worker count.
+ *
  * Numeric flags are parsed strictly: an empty, non-numeric, negative or
  * out-of-range value is a usage error naming the flag, and so is an
- * unknown --oracles name.
+ * unknown --oracles name, an empty --oracles list, an empty
+ * --trace-out file name, --trace-out without --replay and a malformed
+ * RCHDROID_JOBS.
  *
  * Exit code: 0 = no violation, 1 = violation found, 2 = usage error.
  */
@@ -52,6 +58,7 @@
 #include "mc/minimize.h"
 #include "mc/oracles.h"
 #include "mc/scenario.h"
+#include "platform/jobs.h"
 #include "platform/strings.h"
 #include "platform/tracing.h"
 #include "sa/verdict.h"
@@ -136,6 +143,12 @@ parseFlags(int argc, char **argv)
         } else if (arg.rfind("--oracles=", 0) == 0) {
             flags.oracles = splitCommas(value("--oracles="));
             const std::vector<std::string> known = mc::defaultOracleNames();
+            if (flags.oracles.empty()) {
+                // An empty list would mean "all" to the explorer.
+                std::fprintf(stderr, "--oracles: empty list (known: %s)\n",
+                             joinStrings(known, ", ").c_str());
+                return std::nullopt;
+            }
             for (const std::string &name : flags.oracles) {
                 if (std::find(known.begin(), known.end(), name) ==
                     known.end()) {
@@ -168,11 +181,23 @@ parseFlags(int argc, char **argv)
             }
         } else if (arg.rfind("--trace-out=", 0) == 0) {
             flags.trace_out = value("--trace-out=");
+            if (flags.trace_out.empty()) {
+                std::fprintf(stderr, "--trace-out needs a file name\n");
+                return std::nullopt;
+            }
         } else {
             std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
             return std::nullopt;
         }
     }
+    if (!flags.trace_out.empty() && !flags.replay) {
+        std::fprintf(stderr, "--trace-out needs --replay (only one "
+                             "replayed schedule is traced)\n");
+        return std::nullopt;
+    }
+    // The explorer's worker count: a malformed value exits 2 here, with
+    // the benches' message, before any work starts.
+    (void)defaultJobs();
     if (!flags.list && flags.app.empty()) {
         std::fprintf(stderr,
                      "usage: rchdroid_mc --app=NAME [--depth=N] "
