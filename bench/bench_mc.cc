@@ -4,19 +4,19 @@
  * catalogue and a fixed corpus sample.
  *
  * Every catalogue scenario is explored once with rchdroid_mc's defaults
- * (the scenario's MHP independence spec, analysis on, all oracles),
- * then every kCorpusStride-th app of sa::fullCorpus() in both handling
- * modes (makeAppScenario, expect_clean from sa::analyzeApp). Each row
- * reports executions/s and schedules/s, the deterministic exploration
- * counters and `allocations`, the operator new calls made during the
- * exploration (alloc_counter.h); corpus rows are keyed
- * "app:<Name>/<mode>". Results land in a JSON file (--out=PATH, default
- * BENCH_mc.json) that the CI perf-smoke job archives and compares
- * against bench/BENCH_mc.baseline.json via tools/compare_mc.py: the
- * counters gate hard, allocations may exceed the baseline by 2%, and
- * wall-clock numbers are advisory on shared runners. Allocations repeat
- * exactly only with RCHDROID_JOBS=1: worker threads each build their
- * own per-thread caches.
+ * (the scenario's process-isolation spec if it has one, analysis on,
+ * all oracles), then every kCorpusStride-th app of sa::fullCorpus() in
+ * both handling modes (makeAppScenario, expect_clean from
+ * sa::analyzeApp). Each row reports executions/s and schedules/s, the
+ * deterministic exploration counters and `allocations`, the operator
+ * new calls made during the exploration (alloc_counter.h); corpus rows
+ * are keyed "app:<Name>/<mode>". Results land in a JSON file
+ * (--out=PATH, default BENCH_mc.json) that the CI perf-smoke job
+ * archives and compares against bench/BENCH_mc.baseline.json via
+ * tools/compare_mc.py: the counters gate hard, allocations may exceed
+ * the baseline by 2%, and wall-clock numbers are advisory on shared
+ * runners. Allocations repeat exactly only with RCHDROID_JOBS=1: worker
+ * threads each build their own per-thread caches.
  */
 #include <chrono>
 #include <climits>
@@ -128,8 +128,8 @@ main(int argc, char **argv)
             "%s  \"%s\": {\"schedules_covered\": %llu, \"executions\": %llu, "
             "\"choice_points\": %llu, \"distinct_states\": %llu, "
             "\"visited_hits\": %llu, \"sleep_skips\": %llu, "
-            "\"mhp_prunes\": %llu, \"mhp_sleep_keeps\": %llu, "
-            "\"events_replayed\": %llu, \"truncated\": %s, "
+            "\"mhp_prunes\": %llu, \"events_replayed\": %llu, "
+            "\"truncated\": %s, "
             "\"violations\": %zu, \"allocations\": %llu, "
             "\"wall_ms\": %.3f, \"executions_per_sec\": %.1f, "
             "\"schedules_per_sec\": %.1f}",
@@ -137,8 +137,8 @@ main(int argc, char **argv)
             ull(stats.schedules_covered), ull(stats.executions),
             ull(stats.nodes), ull(stats.distinct_states),
             ull(stats.visited_hits), ull(stats.sleep_skips),
-            ull(stats.mhp_prunes), ull(stats.mhp_sleep_keeps),
-            ull(stats.events_replayed), stats.truncated ? "true" : "false",
+            ull(stats.mhp_prunes), ull(stats.events_replayed),
+            stats.truncated ? "true" : "false",
             report.violations.size(), ull(allocations), wall_ms,
             perSecond(stats.executions, wall_ms),
             perSecond(stats.schedules_covered, wall_ms));

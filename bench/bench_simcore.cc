@@ -16,6 +16,8 @@
  * Results are printed as a table and written to a machine-readable JSON
  * file (--out=PATH, default BENCH_simcore.json) that the CI perf-smoke
  * job archives and compares against bench/BENCH_simcore.baseline.json.
+ * An empty or unopenable path exits 2 before the bench runs, and a
+ * failed write exits 2 too.
  */
 #include <chrono>
 #include <cstdio>
@@ -243,15 +245,15 @@ collectMetricsJson()
     return sim::metricsJson(system, &registry);
 }
 
-void
-writeJson(const std::string &path, const std::vector<WorkloadResult> &loads,
+/**
+ * Write the report to `out`, opened on `path`, and close it.
+ * @return false (after a message) when a write failed.
+ */
+bool
+writeJson(std::FILE *out, const std::string &path,
+          const std::vector<WorkloadResult> &loads,
           const MatrixResult &matrix, const std::string &metrics_json)
 {
-    std::FILE *out = std::fopen(path.c_str(), "w");
-    if (!out) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
-    }
     std::fprintf(out, "{\n");
     std::fprintf(out, "  \"schema\": \"rchdroid_simcore_bench/1\",\n");
     std::fprintf(out, "  \"hardware_concurrency\": %u,\n",
@@ -287,12 +289,18 @@ writeJson(const std::string &path, const std::vector<WorkloadResult> &loads,
     std::fprintf(out, "  \"metrics\": %s\n",
                  metrics.empty() ? "{}" : metrics.c_str());
     std::fprintf(out, "}\n");
-    std::fclose(out);
+    const bool failed = std::ferror(out) != 0;
+    if (std::fclose(out) != 0 || failed) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return false;
+    }
     std::printf("wrote %s\n", path.c_str());
+    return true;
 }
 
+/** Run the bench and write its report to `out`, opened on `out_path`. */
 int
-run(int jobs, const std::string &out_path)
+run(int jobs, std::FILE *out, const std::string &out_path)
 {
     printHeader("simcore", "event-core throughput and parallel speedup");
 
@@ -320,7 +328,8 @@ run(int jobs, const std::string &out_path)
     std::printf("parallel aggregate bit-identical to serial: %s\n",
                 matrix.identical ? "yes" : "NO");
 
-    writeJson(out_path, loads, matrix, collectMetricsJson());
+    if (!writeJson(out, out_path, loads, matrix, collectMetricsJson()))
+        return 2;
     return matrix.identical ? 0 : 1;
 }
 
@@ -340,5 +349,15 @@ main(int argc, char **argv)
             rchdroid::bench::rejectArgument(argv[0], arg,
                                             "[--jobs=N] [--out=PATH]");
     }
-    return rchdroid::bench::run(jobs, out_path);
+    if (out_path.empty()) {
+        std::fprintf(stderr, "--out needs a file name\n");
+        return 2;
+    }
+    // Opened before the bench runs, so a bad path fails at once.
+    std::FILE *out = std::fopen(out_path.c_str(), "w");
+    if (out == nullptr) {
+        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+        return 2;
+    }
+    return rchdroid::bench::run(jobs, out, out_path);
 }

@@ -2,7 +2,6 @@
 
 #include "analysis/analyzer.h"
 #include "mc/explorer.h"
-#include "mc/independence.h"
 #include "sim/android_system.h"
 
 namespace rchdroid::mc {
@@ -84,8 +83,6 @@ observeApp(const apps::AppSpec &spec, sa::HandlingModel handling,
         explore_options.scenario = &scenario;
         explore_options.max_depth = options.mc_max_depth;
         explore_options.max_executions = options.mc_max_executions;
-        if (!scenario.independence.empty())
-            explore_options.independence = &scenario.independence;
         const ExplorerReport report = explore(explore_options);
         observation.mc_explored = true;
         observation.mc_issue_found = !report.violations.empty();
@@ -110,7 +107,6 @@ makeAppScenario(const apps::AppSpec &spec, sa::HandlingModel handling,
     scenario.max_injections = 2;
     scenario.horizon = spec.async.duration + seconds(2);
     scenario.tail = spec.async.duration + seconds(2);
-    scenario.independence = independenceForApp(spec, handling);
     if (expect_clean) {
         scenario.final_check =
             [spec](sim::AndroidSystem &system)

@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "mc/footprint.h"
 #include "mc/state_hash.h"
 #include "platform/logging.h"
 
@@ -142,10 +143,8 @@ runExecution(const ExecutionOptions &options)
         // The explorer reads a segment only from the branch's divergence
         // point on (ExecutionOptions::known_states).
         if (!result.choice_points.empty() &&
-            result.choice_points.size() >= options.known_states) {
-            ChoicePoint &last = result.choice_points.back();
-            footprint.record(last.segment_footprint, last.segment);
-        }
+            result.choice_points.size() >= options.known_states)
+            footprint.record(result.choice_points.back().segment_footprint);
         if (injection) {
             applyInjection(system, *injection);
             ++injections_used;

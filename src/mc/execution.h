@@ -35,7 +35,6 @@
 #include <string>
 #include <vector>
 
-#include "mc/footprint.h"
 #include "mc/oracles.h"
 #include "mc/scenario.h"
 #include "os/scheduler.h"
@@ -79,11 +78,6 @@ struct ChoicePoint
      * the independence data sleep sets work with.
      */
     std::set<std::string> segment_footprint;
-    /**
-     * Step classes / posted queue slots / barrier flag of the same
-     * segment — what the static independence oracle consumes.
-     */
-    SegmentSummary segment;
 };
 
 struct ExecutionOptions

@@ -27,8 +27,6 @@ struct SleepEntry
 {
     EventId id = kInvalidEventId;
     std::set<std::string> footprint;
-    /** Static summary of the same segment, for the MHP oracle. */
-    SegmentSummary segment;
 };
 
 bool
@@ -280,46 +278,6 @@ class Explorer
     using VisitedKey = std::tuple<std::uint64_t, int, int>;
 
     /**
-     * May the two segments be swapped without observable difference,
-     * per the static oracle alone? Requires every dispatched class to
-     * be known to the spec, pairwise class independence, no barrier,
-     * and no post collision on one (looper, due-time) queue slot (two
-     * posts into the same slot dispatch in enqueue order, so swapping
-     * them is observable; posts into distinct slots dispatch in
-     * due-time order either way — the queue-ordering argument in
-     * DESIGN.md §14).
-     */
-    bool
-    staticallyIndependent(const SegmentSummary &a,
-                          const SegmentSummary &b) const
-    {
-        const sa::IndependenceSpec *spec = options_.independence;
-        if (spec == nullptr || spec->empty())
-            return false;
-        if (a.barrier || b.barrier)
-            return false;
-        if (a.classes.empty() || b.classes.empty())
-            return false; // injection / unknown content: stay dynamic
-        for (const std::string &key_a : a.classes) {
-            const sa::StepClass *class_a = spec->find(key_a);
-            if (class_a == nullptr)
-                return false;
-            for (const std::string &key_b : b.classes) {
-                const sa::StepClass *class_b = spec->find(key_b);
-                if (class_b == nullptr)
-                    return false;
-                if (!spec->independentClasses(*class_a, *class_b))
-                    return false;
-            }
-        }
-        for (const auto &post : a.posts) {
-            if (b.posts.count(post))
-                return false;
-        }
-        return true;
-    }
-
-    /**
      * Is {option 0} a persistent set at this choice point? True when
      * the spec is closed-world process-isolated and every option is an
      * event on a looper the spec maps to a *distinct* process: the
@@ -491,31 +449,17 @@ class Explorer
             }
 
             static const std::set<std::string> kEmpty;
-            static const SegmentSummary kEmptySegment;
-            const bool has_cp = child->choice_points.size() > level;
             const std::set<std::string> &footprint =
-                has_cp ? child->choice_points[level].segment_footprint
-                       : kEmpty;
-            const SegmentSummary &segment =
-                has_cp ? child->choice_points[level].segment
-                       : kEmptySegment;
+                child->choice_points.size() > level
+                    ? child->choice_points[level].segment_footprint
+                    : kEmpty;
 
             std::vector<SleepEntry> child_sleep;
             if (options_.reduction) {
                 for (const std::vector<SleepEntry> *source :
                      {&sleep, &explored}) {
                     for (const SleepEntry &entry : *source) {
-                        bool keep = !footprintsIntersect(entry.footprint,
-                                                         footprint);
-                        if (!keep && staticallyIndependent(entry.segment,
-                                                           segment)) {
-                            // Dynamic footprints touched the same
-                            // looper names, but the oracle proves the
-                            // segments commute: stay asleep.
-                            keep = true;
-                            ++report_.stats.mhp_sleep_keeps;
-                        }
-                        if (keep)
+                        if (!footprintsIntersect(entry.footprint, footprint))
                             child_sleep.push_back(entry);
                     }
                 }
@@ -527,8 +471,7 @@ class Explorer
             const ChoiceOption &option = cp.options[i];
             if (options_.reduction &&
                 option.kind == ChoiceOption::Kind::Event)
-                explored.push_back(
-                    SleepEntry{option.event_id, footprint, segment});
+                explored.push_back(SleepEntry{option.event_id, footprint});
         }
 
         if (options_.reduction && !truncated_)

@@ -24,27 +24,15 @@
  *    every distinguishable schedule the search *covered*, while
  *    `executions` counts the re-executions actually paid for.
  *
- * A third, *static* reduction arms when the scenario carries an
- * sa::IndependenceSpec (the MHP analysis' exported oracle, DESIGN.md
- * §14):
- *
- *  - Sleep-set wake refinement: a sleeping event stays asleep when the
- *    executed segment is *statically* independent of the segment that
- *    put it to sleep — every dispatched step class is known to the
- *    spec, all cross-pairs are independent (distinct processes, or
- *    mask-disjoint off-looper classes), and no two posts target the
- *    same (looper, due-time) queue slot — even if their dynamically
- *    observed looper footprints overlap.
- *
- *  - Persistent-set pruning: under a closed-world, process-isolated
- *    spec, when every option at a choice point is an event on a looper
- *    of a *distinct* process (and no injection is on offer), the
- *    options pairwise commute and {option 0} is a persistent set — the
- *    siblings need not be explored at all. Skips are counted in
- *    `mhp_prunes`.
- *
- * Both refinements are belt-and-braces guarded by the guided-vs-
- * unguided bit-identical CTest (tests/mc/guided_equivalence_test.cc).
+ * A third, *static* reduction arms when the scenario carries a
+ * closed-world sa::IndependenceSpec (DESIGN.md §14): persistent-set
+ * pruning. When every option at a choice point is an event on a looper
+ * the spec maps to a *distinct* process (and no injection is on
+ * offer), the options pairwise commute and {option 0} is a persistent
+ * set — the siblings need not be explored at all. Skips are counted in
+ * `mhp_prunes`, and the guided-vs-unguided CTest
+ * (tests/mc/guided_equivalence_test.cc) checks that they change no
+ * verdict.
  *
  * Exploration pays one execution per explored branch: one execution
  * serves as the "spine" for the whole default-continuation of its
@@ -93,9 +81,9 @@ struct ExplorerOptions
     /** Sleep sets + visited-state pruning; false = naive DFS. */
     bool reduction = true;
     /**
-     * The static independence oracle, or null for unguided DPOR. Only
-     * consulted when `reduction` is on; soundness obligations are
-     * documented on sa::IndependenceSpec.
+     * Looper ownership for persistent-set pruning, or null for unguided
+     * DPOR. Only consulted when `reduction` is on; soundness
+     * obligations are documented on sa::IndependenceSpec.
      */
     const sa::IndependenceSpec *independence = nullptr;
 };
@@ -116,9 +104,6 @@ struct ExplorerStats
     std::uint64_t sleep_skips = 0;
     /** Siblings skipped by static persistent-set pruning. */
     std::uint64_t mhp_prunes = 0;
-    /** Sleepers kept asleep only by the static oracle (dynamic
-     * footprints intersected but the spec proved independence). */
-    std::uint64_t mhp_sleep_keeps = 0;
     /** True when max_executions stopped the search early. */
     bool truncated = false;
     /** Redundant prefix events re-executed to reach branch divergence

@@ -4,12 +4,13 @@
  * chain. It records the *footprint* of the step currently executing:
  * which loopers it dispatched on or posted to.
  *
- * Footprints feed the sleep-set reduction (src/mc/explorer.h): two
- * scheduling choices whose footprints are disjoint commute, so only one
- * of their two orders needs exploring. The recorder starts stopped and
- * records only the steps the explorer reads: runExecution points it at
- * a choice point's segment before each such step, and stops it for
- * construction, setup, replayed prefix steps and the tail.
+ * Footprints are the one independence relation the sleep-set reduction
+ * uses (src/mc/explorer.h): two scheduling choices whose footprints are
+ * disjoint commute, so only one of their two orders needs exploring.
+ * The recorder starts stopped and records only the steps the explorer
+ * reads: runExecution points it at a choice point's segment footprint
+ * before each such step, and stops it for construction, setup,
+ * replayed prefix steps and the tail.
  *
  * runExecution subscribes it (and, for the analysis oracle, its own
  * analysis::Analyzer with abort off) before building the system, and
@@ -23,52 +24,24 @@
 
 #include <set>
 #include <string>
-#include <utility>
 
 #include "os/observer.h"
 #include "platform/time.h"
 
 namespace rchdroid::mc {
 
-/**
- * What the static independence oracle needs to know about one executed
- * segment (the chosen step plus its forced single-option successors):
- * the step classes it dispatched, the queue slots it posted into, and
- * whether a sync barrier fired (DESIGN.md §14).
- */
-struct SegmentSummary
-{
-    /** "<looper>#<tag>" key of every dispatch in the segment. */
-    std::set<std::string> classes;
-    /** (target looper, due time) of every message the segment posted. */
-    std::set<std::pair<std::string, SimTime>> posts;
-    /** Conservatively dependent on everything when set. */
-    bool barrier = false;
-};
-
 /** Footprint recorder. See file comment. */
 class FootprintRecorder final : public obs::Observer
 {
   public:
     /**
-     * Add what the following steps touch to `footprint` (looper names;
-     * dispatches + message sends) and `segment` (classes, posts,
-     * barrier), until the next record() or stop(). Both must outlive
-     * the recording.
+     * Add the looper names the following steps touch (dispatches and
+     * message sends; "<barrier>" for a sync barrier) to `footprint`,
+     * until the next record() or stop(). It must outlive the recording.
      */
-    void
-    record(std::set<std::string> &footprint, SegmentSummary &segment)
-    {
-        footprint_ = &footprint;
-        segment_ = &segment;
-    }
+    void record(std::set<std::string> &footprint) { footprint_ = &footprint; }
     /** Record nothing until the next record(). */
-    void
-    stop()
-    {
-        footprint_ = nullptr;
-        segment_ = nullptr;
-    }
+    void stop() { footprint_ = nullptr; }
 
     void onMessageSend(Looper &target, std::uint64_t msg_id, SimTime when,
                        const std::string &tag) override;
@@ -79,7 +52,6 @@ class FootprintRecorder final : public obs::Observer
   private:
     /** Where the current step records; null while stopped. */
     std::set<std::string> *footprint_ = nullptr;
-    SegmentSummary *segment_ = nullptr;
 };
 
 } // namespace rchdroid::mc

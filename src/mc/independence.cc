@@ -7,37 +7,13 @@ independenceForApp(const apps::AppSpec &spec, sa::HandlingModel handling)
 {
     sa::IndependenceSpec independence; // open world (injections)
     const std::string process = spec.process();
-
-    if (spec.async.trigger != apps::AsyncTrigger::Never) {
-        // SimulatedApp names its first task "<name>#task0"; the
-        // differential drive clicks the button exactly once.
-        const std::string task = spec.name + "#task0";
-
-        sa::StepClass background;
-        background.process = process;
-        background.looper = process + ".async";
-        background.tag = task + ".doInBackground";
-        independence.classes.push_back(std::move(background));
-
-        sa::StepClass done;
-        done.process = process;
-        done.looper = process + ".main";
-        done.tag = task + ".onPostExecute";
-        // Raw captures write the captured instance's tree; patched apps
-        // re-resolve ids through the live tree.
-        if (!spec.runtimedroid_patched)
-            done.writes = sa::kViewsBit;
-        independence.classes.push_back(std::move(done));
-    }
-
-    if (handling == sa::HandlingModel::RchDroid) {
-        sa::StepClass tick;
-        tick.process = process;
-        tick.looper = process + ".main";
-        tick.tag = "gcTick";
-        tick.writes = sa::kViewsBit; // may collect the shadow tree
-        independence.classes.push_back(std::move(tick));
-    }
+    const bool has_task = spec.async.trigger != apps::AsyncTrigger::Never;
+    if (has_task)
+        independence.looper_process[process + ".async"] = process;
+    // The task's completion and RCHDroid's GC tick run on the main
+    // looper.
+    if (has_task || handling == sa::HandlingModel::RchDroid)
+        independence.looper_process[process + ".main"] = process;
     return independence;
 }
 

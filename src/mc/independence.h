@@ -1,15 +1,17 @@
 /**
  * @file
- * Derive a (partial) static independence spec for one corpus app from
- * its declarative AppSpec — the bridge between the MHP analysis'
- * per-model concurrency graph and the runtime step classes the
- * differential harness's app scenarios actually dispatch.
+ * Derive a static independence spec for one corpus app from its
+ * declarative AppSpec: the loopers its differential-harness scenario
+ * dispatches app steps on (the AsyncTask worker and the main looper
+ * that runs the completion and RCHDroid's GC tick), each owned by the
+ * app's process.
  *
  * The derived spec is never closed-world: app scenarios inject
- * configuration changes, which are global. It still sharpens sleep-set
- * wakes for the classes it does know — the AsyncTask worker step, the
- * main-looper completion (writes the captured view tree only when the
- * app holds raw references), and RCHDroid's GC tick.
+ * configuration changes, which are global. So it never lets the
+ * explorer prune, and makeAppScenario() does not build it. Its one
+ * caller is the e2ebench mc_explore probe that times its construction;
+ * ROADMAP.md's item on deleting the static guidance removes it
+ * together with that probe.
  */
 #ifndef RCHDROID_MC_INDEPENDENCE_H
 #define RCHDROID_MC_INDEPENDENCE_H
@@ -20,7 +22,7 @@
 
 namespace rchdroid::mc {
 
-/** Derive the partial spec for one app under one handling model. */
+/** Derive the open-world spec for one app under one handling model. */
 sa::IndependenceSpec independenceForApp(const apps::AppSpec &spec,
                                         sa::HandlingModel handling);
 

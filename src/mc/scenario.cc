@@ -212,43 +212,6 @@ rchOptions(RchConfig rch = {})
     return options;
 }
 
-/** One independence-spec class (sa/mhp.h). */
-sa::StepClass
-stepClass(std::string process, std::string looper, std::string tag,
-          sa::LocationMask reads = 0, sa::LocationMask writes = 0)
-{
-    sa::StepClass step;
-    step.process = std::move(process);
-    step.looper = std::move(looper);
-    step.tag = std::move(tag);
-    step.reads = reads;
-    step.writes = writes;
-    return step;
-}
-
-/**
- * The AsyncTask + GC-tick class vocabulary of one RCHDroid app process:
- * the worker-side doInBackground (touches nothing shared), the
- * main-looper completion (writes the captured view tree when the app
- * holds raw references), and the shadow GC tick (may destroy the same
- * tree). Used both as a closed-world spec (gc_tuning) and as partial
- * guidance (photo_gallery, seeded_gc).
- */
-void
-addAsyncAppClasses(sa::IndependenceSpec &spec, const std::string &process,
-                   const std::string &task_name)
-{
-    spec.classes.push_back(stepClass(process, process + ".async",
-                                     task_name + ".doInBackground"));
-    spec.classes.push_back(stepClass(process, process + ".main",
-                                     task_name + ".onPostExecute",
-                                     /*reads=*/0,
-                                     /*writes=*/sa::kViewsBit));
-    spec.classes.push_back(stepClass(process, process + ".main", "gcTick",
-                                     /*reads=*/0,
-                                     /*writes=*/sa::kViewsBit));
-}
-
 /** Post a chain of `remaining` zero-cost callbacks onto `thread`. */
 void
 pingChain(ActivityThread &thread, int remaining)
@@ -412,9 +375,6 @@ photoGalleryScenario()
         [](sim::AndroidSystem &device) -> std::optional<std::string> {
         return aliveWithForeground(device, kPhotosProcess);
     };
-    // Partial guidance: injections keep the window open-world, but the
-    // task/tick classes still refine sleep-set wakes.
-    addAsyncAppClasses(s.independence, kPhotosProcess, "thumbnailLoader");
     return s;
 }
 
@@ -521,15 +481,15 @@ gcTuningScenario()
         return std::nullopt;
     };
     // Closed world: inside the window only the benchmark's GC ticks and
-    // AsyncTask steps plus the two pulse chains run, and none of them
-    // crosses processes.
+    // AsyncTask steps (on its main and async loopers) plus the two pulse
+    // chains run, and none of them crosses processes.
     s.independence.closed_world = true;
-    addAsyncAppClasses(s.independence, "com.eval.Benchmark4",
-                       "Benchmark4#task0");
+    const std::string benchmark = "com.eval.Benchmark4";
+    s.independence.looper_process = {{benchmark + ".main", benchmark},
+                                     {benchmark + ".async", benchmark}};
     for (int i = 0; i < 2; ++i) {
         const std::string process = "com.example.pulse" + std::to_string(i);
-        s.independence.classes.push_back(
-            stepClass(process, process + ".main", "pulse"));
+        s.independence.looper_process[process + ".main"] = process;
     }
     return s;
 }
@@ -571,10 +531,6 @@ seededGcScenario()
     s.max_injections = 3;
     s.horizon = seconds(6);
     s.tail = seconds(6);
-    // Same partial vocabulary as photo_gallery. The collect path fires
-    // a sync barrier, which poisons its segment for both the dynamic
-    // and the static check — the seeded bug stays reachable.
-    addAsyncAppClasses(s.independence, kPhotosProcess, "thumbnailLoader");
     return s;
 }
 
@@ -623,8 +579,7 @@ reductionDemoScenario()
     s.independence.closed_world = true;
     for (int i = 0; i < 3; ++i) {
         const std::string process = "com.example.ping" + std::to_string(i);
-        s.independence.classes.push_back(
-            stepClass(process, process + ".main", "ping"));
+        s.independence.looper_process[process + ".main"] = process;
     }
     return s;
 }

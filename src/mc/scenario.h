@@ -86,11 +86,11 @@ struct Scenario
     std::function<std::optional<std::string>(sim::AndroidSystem &)>
         final_check;
     /**
-     * The static independence oracle for this workload (sa/mhp.h).
-     * Empty = no static guidance; the explorer then runs classical
-     * unguided DPOR. Spec authors carry the soundness obligations
-     * documented on sa::IndependenceSpec; the guided-vs-unguided
-     * equivalence CTest cross-checks them.
+     * The looper ownership persistent-set pruning reads (sa/mhp.h);
+     * only a closed-world spec prunes. Empty = no static guidance; the
+     * explorer then runs classical unguided DPOR. Spec authors carry
+     * the soundness obligations documented on sa::IndependenceSpec; the
+     * guided-vs-unguided equivalence CTest cross-checks them.
      */
     sa::IndependenceSpec independence;
 };

@@ -1,11 +1,12 @@
 #include "profiling/trace_reader.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
+#include <cstdio>
+#include <cstring>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -391,15 +392,26 @@ parseChromeTrace(const std::string &json)
 ReadResult
 readChromeTraceFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in) {
-        ReadResult result;
+    ReadResult result;
+    std::FILE *file = std::fopen(path.c_str(), "rb");
+    if (file == nullptr) {
         result.error = "cannot open " + path;
         return result;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return parseChromeTrace(buffer.str());
+    // A directory opens but fails its first read (EISDIR): say so
+    // rather than parse the empty text read so far.
+    std::string text;
+    char chunk[1 << 14];
+    std::size_t got;
+    while ((got = std::fread(chunk, 1, sizeof chunk, file)) > 0)
+        text.append(chunk, got);
+    const int error = std::ferror(file) ? errno : 0;
+    std::fclose(file);
+    if (error != 0) {
+        result.error = "cannot read " + path + ": " + std::strerror(error);
+        return result;
+    }
+    return parseChromeTrace(text);
 }
 
 } // namespace rchdroid::profiling

@@ -320,53 +320,11 @@ racePairs(const ConcurrencyGraph &graph, const MhpResult &mhp)
     return pairs;
 }
 
-const StepClass *
-IndependenceSpec::find(const std::string &key) const
-{
-    for (const StepClass &step : classes) {
-        if (step.key() == key)
-            return &step;
-    }
-    return nullptr;
-}
-
 const std::string *
 IndependenceSpec::looperProcess(const std::string &looper) const
 {
-    for (const StepClass &step : classes) {
-        if (step.looper == looper && !step.global)
-            return &step.process;
-    }
-    return nullptr;
-}
-
-bool
-IndependenceSpec::processIsolated() const
-{
-    if (!closed_world || classes.empty())
-        return false;
-    for (const StepClass &step : classes) {
-        if (step.global)
-            return false;
-    }
-    return true;
-}
-
-bool
-IndependenceSpec::independentClasses(const StepClass &a,
-                                     const StepClass &b) const
-{
-    if (a.global || b.global)
-        return false;
-    if (a.looper == b.looper) {
-        // One queue serialises them and the order is observable (which
-        // message ran first is part of the state).
-        return false;
-    }
-    if (a.process != b.process)
-        return true; // isolation is the spec author's obligation
-    return (a.writes & (b.reads | b.writes)) == 0 &&
-           (b.writes & a.reads) == 0;
+    auto it = looper_process.find(looper);
+    return it == looper_process.end() ? nullptr : &it->second;
 }
 
 } // namespace rchdroid::sa

@@ -1,7 +1,7 @@
 /**
  * @file
  * May-happen-in-parallel (MHP) analysis over the model IR, and the
- * independence relation it exports to the model checker.
+ * process-isolation spec the model checker prunes with.
  *
  * buildConcurrencyGraph() lowers one compiled AppModel (plus its flow
  * solution) into a concurrency graph: one node per executable step —
@@ -30,16 +30,17 @@
  * instance's live view tree). racePairs() reports MHP pairs whose
  * masks conflict — the async_race checker's raw material.
  *
- * IndependenceSpec is the contract this analysis exports to src/mc/:
- * a vocabulary of runtime step classes ("<looper>#<tag>") with the
- * same masks, from which the explorer derives a *sound* independence
- * oracle (DESIGN.md §14). src/sa/ stays simulator-free: the spec is
- * plain data; mapping runtime events onto classes is mc's job.
+ * IndependenceSpec is the contract exported to src/mc/: which process
+ * owns each runtime looper, and whether those loopers are all the
+ * window can dispatch on. The explorer's persistent-set pruning reads
+ * it (DESIGN.md §14). src/sa/ stays simulator-free: the spec is plain
+ * data; mapping runtime events onto loopers is mc's job.
  */
 #ifndef RCHDROID_SA_MHP_H
 #define RCHDROID_SA_MHP_H
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -159,75 +160,39 @@ std::vector<RacePair> racePairs(const ConcurrencyGraph &graph,
                                 const MhpResult &mhp);
 
 // ---------------------------------------------------------------------
-// The independence oracle exported to src/mc/ (DESIGN.md §14).
+// The process-isolation spec exported to src/mc/ (DESIGN.md §14).
 // ---------------------------------------------------------------------
 
 /**
- * One runtime step class: every dispatch of a message with `tag` on
- * the looper named `looper` is an instance of this class, and the
- * masks over-approximate what any such dispatch may touch.
- */
-struct StepClass
-{
-    /** Runtime looper name, e.g. "com.example.ping0.main". */
-    std::string looper;
-    /** Message tag, e.g. "gcTick" or "Benchmark4#task0.onPostExecute". */
-    std::string tag;
-    /** Owning process; classes of distinct processes never interact. */
-    std::string process;
-    LocationMask reads = 0;
-    /** Includes destructive writes (teardown). */
-    LocationMask writes = 0;
-    /** Touches cross-process state (injections, ATMS): independent of
-     * nothing. */
-    bool global = false;
-
-    /** The runtime key the mc hooks record: "<looper>#<tag>". */
-    std::string key() const { return looper + "#" + tag; }
-};
-
-/**
- * The static independence relation one scenario hands the explorer.
+ * The static independence relation one scenario hands the explorer:
+ * the owning process of each runtime looper its window dispatches on.
  *
- * Soundness obligations on whoever builds a spec (hand-written per
- * scenario or derived from a compiled model):
- *  - masks over-approximate every dispatch of the class;
- *  - classes of distinct processes really are isolated — nothing a
- *    listed class does reads or writes another listed process's state
- *    (cross-process traffic must be marked `global`);
- *  - `closed_world` additionally asserts the listed classes are ALL
- *    message classes that can be dispatched inside the controlled
- *    window, and that none of them posts across processes.
- * The guided-vs-unguided bit-identical CTest and the differential race
- * gate check these obligations empirically on every run.
+ * Soundness obligations on whoever builds a spec:
+ *  - loopers of distinct processes really are isolated: nothing a step
+ *    on one reads or writes another listed process's state;
+ *  - `closed_world` additionally asserts the listed loopers are ALL the
+ *    loopers that can dispatch inside the controlled window, and that
+ *    no step on them posts across processes.
+ * The guided-vs-unguided bit-identical CTest checks these obligations
+ * empirically on every run.
  */
 struct IndependenceSpec
 {
-    std::vector<StepClass> classes;
+    /** Runtime looper name ("com.example.ping0.main") → owning process. */
+    std::map<std::string, std::string> looper_process;
     bool closed_world = false;
 
-    bool empty() const { return classes.empty(); }
+    bool empty() const { return looper_process.empty(); }
 
-    /** Class with key() == `key`, or null. */
-    const StepClass *find(const std::string &key) const;
-
-    /** Owning process of the class registered on `looper`, or null. */
+    /** Owning process of `looper`, or null when it is not listed. */
     const std::string *looperProcess(const std::string &looper) const;
 
     /**
-     * Closed world with no global class: every event in the window
-     * belongs to a listed class and processes are fully isolated —
+     * A closed world with at least one looper: every event in the
+     * window runs on a listed looper and processes are fully isolated —
      * the precondition of the explorer's persistent-set pruning.
      */
-    bool processIsolated() const;
-
-    /**
-     * May dispatches of `a` and `b` be reordered without observable
-     * difference? False whenever either is global or both share a
-     * looper (one queue serialises them); true across distinct
-     * processes; mask-disjointness within one process.
-     */
-    bool independentClasses(const StepClass &a, const StepClass &b) const;
+    bool processIsolated() const { return closed_world && !empty(); }
 };
 
 } // namespace rchdroid::sa

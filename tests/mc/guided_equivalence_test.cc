@@ -53,15 +53,13 @@ TEST(GuidedEquivalence, BitIdenticalVerdictsAndNeverMoreExecutions)
         const ExplorerReport guided = run(scenario, /*guided=*/true);
         const ExplorerReport unguided = run(scenario, /*guided=*/false);
 
-        std::printf("%-16s guided %llu executions (%llu prunes, %llu "
-                    "sleep keeps), unguided %llu executions\n",
+        std::printf("%-16s guided %llu executions (%llu prunes), "
+                    "unguided %llu executions\n",
                     scenario.name.c_str(),
                     static_cast<unsigned long long>(
                         guided.stats.executions),
                     static_cast<unsigned long long>(
                         guided.stats.mhp_prunes),
-                    static_cast<unsigned long long>(
-                        guided.stats.mhp_sleep_keeps),
                     static_cast<unsigned long long>(
                         unguided.stats.executions));
 

@@ -61,7 +61,6 @@ expectSameReport(const ExplorerReport &got, const ExplorerReport &want)
     EXPECT_EQ(g.visited_hits, w.visited_hits);
     EXPECT_EQ(g.sleep_skips, w.sleep_skips);
     EXPECT_EQ(g.mhp_prunes, w.mhp_prunes);
-    EXPECT_EQ(g.mhp_sleep_keeps, w.mhp_sleep_keeps);
     EXPECT_EQ(g.truncated, w.truncated);
     EXPECT_EQ(g.events_replayed, w.events_replayed);
     EXPECT_EQ(g.fingerprints, w.fingerprints);

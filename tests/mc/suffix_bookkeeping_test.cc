@@ -38,24 +38,6 @@ expectSameOptions(const std::vector<ChoiceOption> &got,
 }
 
 void
-expectSameSegment(const ChoicePoint &got, const ChoicePoint &want)
-{
-    EXPECT_EQ(got.segment_footprint, want.segment_footprint);
-    EXPECT_EQ(got.segment.classes, want.segment.classes);
-    EXPECT_EQ(got.segment.posts, want.segment.posts);
-    EXPECT_EQ(got.segment.barrier, want.segment.barrier);
-}
-
-void
-expectEmptySegment(const ChoicePoint &cp)
-{
-    EXPECT_TRUE(cp.segment_footprint.empty());
-    EXPECT_TRUE(cp.segment.classes.empty());
-    EXPECT_TRUE(cp.segment.posts.empty());
-    EXPECT_FALSE(cp.segment.barrier);
-}
-
-void
 expectSuffixEquivalent(const Scenario &scenario, std::vector<int> schedule)
 {
     ExecutionOptions full;
@@ -95,9 +77,9 @@ expectSuffixEquivalent(const Scenario &scenario, std::vector<int> schedule)
             EXPECT_EQ(g.fingerprint_before, 0u);
         }
         if (depth + 1 >= s)
-            expectSameSegment(g, w);
+            EXPECT_EQ(g.segment_footprint, w.segment_footprint);
         else
-            expectEmptySegment(g);
+            EXPECT_TRUE(g.segment_footprint.empty());
     }
     EXPECT_EQ(got.fingerprints_computed, suffix_points);
     EXPECT_EQ(want.fingerprints_computed, want.choice_points.size());

@@ -2,8 +2,9 @@
  * @file
  * MHP analysis unit tests: hand-built concurrency graphs whose ordered
  * and parallel pairs are known by construction, a randomized check of
- * the fixpoint against a reference DFS, and the race-pair / step-class
- * predicates the checker and the explorer oracle are built from.
+ * the fixpoint against a reference DFS, the race-pair predicate the
+ * checker is built from, and the process-isolation spec the explorer
+ * prunes with.
  */
 #include <gtest/gtest.h>
 
@@ -185,71 +186,27 @@ TEST(LocationBit, SaturatesIntoTheViewsBit)
 }
 
 // ---------------------------------------------------------------------
-// The exported independence oracle.
+// The exported process-isolation spec.
 // ---------------------------------------------------------------------
 
-StepClass
-stepClass(std::string process, std::string looper, std::string tag,
-          LocationMask reads = 0, LocationMask writes = 0)
-{
-    StepClass c;
-    c.process = std::move(process);
-    c.looper = std::move(looper);
-    c.tag = std::move(tag);
-    c.reads = reads;
-    c.writes = writes;
-    return c;
-}
-
-TEST(IndependenceSpec, FindAndLooperProcessUseTheRuntimeKey)
+TEST(IndependenceSpec, LooperProcessMapsListedLoopersOnly)
 {
     IndependenceSpec spec;
-    spec.classes = {stepClass("p0", "p0.main", "ping"),
-                    stepClass("p1", "p1.main", "ping")};
-    ASSERT_NE(spec.find("p0.main#ping"), nullptr);
-    EXPECT_EQ(spec.find("p0.main#ping")->process, "p0");
-    EXPECT_EQ(spec.find("p0.main#pong"), nullptr);
+    spec.looper_process = {{"p0.main", "p0"}, {"p1.main", "p1"}};
     ASSERT_NE(spec.looperProcess("p1.main"), nullptr);
     EXPECT_EQ(*spec.looperProcess("p1.main"), "p1");
     EXPECT_EQ(spec.looperProcess("p2.main"), nullptr);
 }
 
-TEST(IndependenceSpec, ProcessIsolationNeedsClosedWorldAndNoGlobals)
+TEST(IndependenceSpec, ProcessIsolationNeedsClosedWorld)
 {
     IndependenceSpec spec;
-    spec.classes = {stepClass("p0", "p0.main", "ping")};
-    EXPECT_FALSE(spec.processIsolated()); // open world
     spec.closed_world = true;
+    EXPECT_FALSE(spec.processIsolated()); // nothing listed
+    spec.looper_process = {{"p0.main", "p0"}};
     EXPECT_TRUE(spec.processIsolated());
-    spec.classes.push_back(stepClass("p1", "p1.main", "rotate"));
-    spec.classes.back().global = true;
-    EXPECT_FALSE(spec.processIsolated()); // a global class breaks it
-}
-
-TEST(IndependenceSpec, IndependentClassesDecisionTable)
-{
-    IndependenceSpec spec;
-    const StepClass other_proc = stepClass("p1", "p1.main", "ping");
-    const StepClass same_looper = stepClass("p0", "p0.main", "tick");
-    const StepClass disjoint =
-        stepClass("p0", "p0.async", "work", locationBit(1), 0);
-    const StepClass writer =
-        stepClass("p0", "p0.main", "done", 0, locationBit(0));
-    StepClass global = stepClass("p0", "p0.main", "rotate");
-    global.global = true;
-
-    // Distinct processes: independent (isolation is a spec obligation).
-    EXPECT_TRUE(spec.independentClasses(writer, other_proc));
-    // One shared looper queue serialises them: never independent.
-    EXPECT_FALSE(spec.independentClasses(writer, same_looper));
-    // Same process, different loopers: mask disjointness decides.
-    EXPECT_TRUE(spec.independentClasses(writer, disjoint));
-    StepClass reader = disjoint;
-    reader.reads = locationBit(0); // now overlaps writer's writes
-    EXPECT_FALSE(spec.independentClasses(writer, reader));
-    // Global classes are independent of nothing.
-    EXPECT_FALSE(spec.independentClasses(writer, global));
-    EXPECT_FALSE(spec.independentClasses(global, other_proc));
+    spec.closed_world = false;
+    EXPECT_FALSE(spec.processIsolated()); // open world
 }
 
 } // namespace

@@ -144,6 +144,13 @@ class RchdroidProfileTest(CliCase):
         self.assert_rejected([RCHDROID_PROFILE, "/nonexistent/trace.json"],
                              "cannot open")
 
+    def test_directory_is_not_a_trace(self):
+        # Used to read nothing and report "JSON parse error: unexpected
+        # end of input at offset 0".
+        with tempfile.TemporaryDirectory() as tmp:
+            self.assert_rejected([RCHDROID_PROFILE, tmp],
+                                 f"cannot read {tmp}")
+
     def test_top_is_strict(self):
         self.assert_rejected([RCHDROID_PROFILE, "trace.json", "--top=3x"],
                              '--top: expected an integer')
@@ -226,6 +233,14 @@ class RchdroidSaTest(CliCase):
         self.assert_rejected([RCHDROID_SA, "--app"], "--app needs a value")
         self.assert_rejected([RCHDROID_SA, "--out"], "--out needs a value")
 
+    def test_flag_with_empty_value(self):
+        # --out '' used to print the summary and write no file; --app ''
+        # used to sweep all 132 apps. Both exited 0.
+        self.assert_rejected([RCHDROID_SA, "--out", ""],
+                             "--out needs a value")
+        self.assert_rejected([RCHDROID_SA, "--app", ""],
+                             "--app needs a value")
+
     def test_unknown_app(self):
         self.assert_rejected([RCHDROID_SA, "--app", "nosuch"],
                              "unknown app 'nosuch'")
@@ -286,6 +301,13 @@ class BenchTest(CliCase):
                              "usage: bench_simcore [--jobs=N] [--out=PATH]")
         self.assert_rejected([BENCH_TABLE2, "--jobs=2"],
                              "unknown flag: --jobs=2\nusage: bench_table2\n")
+
+    def test_report_path_must_be_writable(self):
+        # Both used to run the whole bench, write no report and exit 0.
+        self.assert_rejected([BENCH_SIMCORE, "--out=/nonexistent/x.json"],
+                             "cannot write /nonexistent/x.json")
+        self.assert_rejected([BENCH_SIMCORE, "--out="],
+                             "--out needs a file name")
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ import sys
 #: Per-scenario counters that must equal the baseline.
 COUNTERS = ("schedules_covered", "executions", "choice_points",
             "distinct_states", "visited_hits", "sleep_skips", "mhp_prunes",
-            "mhp_sleep_keeps", "events_replayed", "truncated", "violations")
+            "events_replayed", "truncated", "violations")
 
 #: Relative per-scenario allocation growth over the baseline that fails.
 ALLOC_THRESHOLD = 0.02

@@ -20,7 +20,7 @@
  *   --oracles=a,b     subset of crash,analysis,gc_live_async,
  *                     saved_restore (default: all)
  *   --naive           disable sleep sets + state hashing (baseline)
- *   --no-mhp          disable the static independence oracle (classic
+ *   --no-mhp          disable static persistent-set pruning (classic
  *                     unguided DPOR; the guided-vs-unguided CI gate
  *                     compares this against the default)
  *   --json            machine-readable per-scenario report (stats incl.
@@ -297,8 +297,6 @@ reportJson(const Flags &flags, const mc::Scenario &scenario,
     out += ", \"visited_hits\": " + std::to_string(stats.visited_hits);
     out += ", \"sleep_skips\": " + std::to_string(stats.sleep_skips);
     out += ", \"mhp_prunes\": " + std::to_string(stats.mhp_prunes);
-    out += ", \"mhp_sleep_keeps\": " +
-           std::to_string(stats.mhp_sleep_keeps);
     out += ", \"events_replayed\": " +
            std::to_string(stats.events_replayed);
     out += ", \"fingerprints\": " + std::to_string(stats.fingerprints);
@@ -375,9 +373,6 @@ runExplore(const Flags &flags, const mc::Scenario &scenario)
         std::printf("  mhp prunes        : %llu\n",
                     static_cast<unsigned long long>(
                         report.stats.mhp_prunes));
-        std::printf("  mhp sleep keeps   : %llu\n",
-                    static_cast<unsigned long long>(
-                        report.stats.mhp_sleep_keeps));
     }
     std::printf("  wall time         : %.1f ms\n", wall_ms);
 

@@ -87,7 +87,7 @@ main(int argc, char **argv)
             list_findings = true;
         } else if (std::strcmp(arg, "--out") == 0 ||
                    std::strcmp(arg, "--app") == 0) {
-            if (i + 1 >= argc) {
+            if (i + 1 >= argc || argv[i + 1][0] == '\0') {
                 std::cerr << "rchdroid_sa: " << arg << " needs a value\n"
                           << usage;
                 return 2;
