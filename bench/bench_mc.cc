@@ -82,6 +82,11 @@ main(int argc, char **argv)
         }
     }
 
+    if (out_path.empty()) {
+        std::fprintf(stderr, "--out needs a file name\n");
+        return 2;
+    }
+    // Opened before the bench runs, so a bad path fails at once.
     std::FILE *out = std::fopen(out_path.c_str(), "w");
     if (out == nullptr) {
         std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
@@ -174,7 +179,11 @@ main(int argc, char **argv)
                  ull(total_executions), ull(total_schedules), total_ms,
                  perSecond(total_executions, total_ms),
                  perSecond(total_schedules, total_ms));
-    std::fclose(out);
+    const bool failed = std::ferror(out) != 0;
+    if (std::fclose(out) != 0 || failed) {
+        std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
+        return 2;
+    }
 
     std::printf("totals: %llu executions, %llu schedules in %.1f ms "
                 "(%.0f exec/s)\n",

@@ -265,10 +265,17 @@ std::vector<Finding>
 checkAsyncRace(const CheckInput &input)
 {
     std::vector<Finding> findings;
+    const auto lap = [&input](std::int64_t PhaseTimes::*phase) {
+        if (input.clock != nullptr)
+            input.clock->lap(phase);
+    };
 
     auto scan = [&](const AppModel &model, const FlowSolution &flow) {
+        lap(&PhaseTimes::checkers_ns);
         const ConcurrencyGraph graph = buildConcurrencyGraph(model, flow);
+        lap(&PhaseTimes::graph_ns);
         const MhpResult mhp = computeMhp(graph);
+        lap(&PhaseTimes::mhp_ns);
         for (const RacePair &pair : racePairs(graph, mhp)) {
             const CgNode &a = graph.nodes[pair.a];
             const CgNode &b = graph.nodes[pair.b];
@@ -278,7 +285,9 @@ checkAsyncRace(const CheckInput &input)
             Finding finding;
             finding.checker = "async_race";
             finding.handling = model.handling;
-            finding.location = a.label + " || " + b.label;
+            finding.location = a.label;
+            finding.location += " || ";
+            finding.location += b.label;
             if (model.handling == HandlingModel::Stock) {
                 finding.severity = Severity::Error;
                 finding.dynamically_checkable = true;

@@ -24,6 +24,7 @@
 
 #include "sa/dataflow.h"
 #include "sa/model_ir.h"
+#include "sa/phase_clock.h"
 
 namespace rchdroid::sa {
 
@@ -61,6 +62,11 @@ struct CheckInput
     const AppModel *rch = nullptr;
     const FlowSolution *stock_flow = nullptr;
     const FlowSolution *rch_flow = nullptr;
+    /**
+     * Charges the async_race checker's graph and closure to their own
+     * phases; null when nobody asked for timings.
+     */
+    PhaseClock *clock = nullptr;
 };
 
 using CheckerFn = std::vector<Finding> (*)(const CheckInput &input);

@@ -1,5 +1,7 @@
 #include "sa/dataflow.h"
 
+#include <algorithm>
+
 namespace rchdroid::sa {
 
 FlowSolution
@@ -7,23 +9,24 @@ solve(const AppModel &model)
 {
     FlowSolution solution;
     const std::size_t n_locations = model.locations.size();
-    for (auto &row : solution.facts)
-        row.assign(n_locations, kFactBottom);
+    solution.locations = n_locations;
+    solution.facts.assign(kLcNodeCount * n_locations, kFactBottom);
+    const auto row = [&solution, n_locations](LcNode node) {
+        return solution.facts.data() +
+               static_cast<std::size_t>(node) * n_locations;
+    };
 
     // Boundary: every tracked value is live in the foreground instance
     // once the user has put the app into its state at Resumed.
-    auto &resumed = solution.facts[static_cast<std::size_t>(LcNode::Resumed)];
-    for (StateFact &fact : resumed)
-        fact = kLive;
+    std::fill_n(row(LcNode::Resumed), n_locations, kLive);
 
     bool changed = true;
     while (changed) {
         changed = false;
         ++solution.iterations;
         for (const LcEdge &edge : model.edges) {
-            const auto &from =
-                solution.facts[static_cast<std::size_t>(edge.from)];
-            auto &to = solution.facts[static_cast<std::size_t>(edge.to)];
+            const StateFact *from = row(edge.from);
+            StateFact *to = row(edge.to);
             for (std::size_t i = 0; i < n_locations; ++i) {
                 if (from[i] == kFactBottom)
                     continue;

@@ -13,7 +13,6 @@
 #ifndef RCHDROID_SA_DATAFLOW_H
 #define RCHDROID_SA_DATAFLOW_H
 
-#include <array>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -26,15 +25,19 @@ namespace rchdroid::sa {
 /** The fixpoint solution: one fact per (node, location). */
 struct FlowSolution
 {
-    /** facts[node][location_index]. */
-    std::array<std::vector<StateFact>, kLcNodeCount> facts;
+    /** Tracked locations: the width of each node's row in `facts`. */
+    std::size_t locations = 0;
+    /** One block of rows: facts[node * locations + location_index]. */
+    std::vector<StateFact> facts;
     /** Worklist passes until quiescence (observability/tests). */
     int iterations = 0;
 
     StateFact at(LcNode node, std::size_t location) const
     {
-        const auto &row = facts[static_cast<std::size_t>(node)];
-        return location < row.size() ? row[location] : kFactBottom;
+        return location < locations
+                   ? facts[static_cast<std::size_t>(node) * locations +
+                           location]
+                   : kFactBottom;
     }
 
     /**

@@ -1,5 +1,9 @@
 #include "sa/mhp.h"
 
+#include <bit>
+
+#include "platform/logging.h"
+
 namespace rchdroid::sa {
 
 LocationMask
@@ -36,16 +40,6 @@ cgEdgeKindName(CgEdgeKind kind)
       case CgEdgeKind::Lifecycle: return "lifecycle";
     }
     return "?";
-}
-
-int
-ConcurrencyGraph::node(const std::string &label) const
-{
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (nodes[i].label == label)
-            return static_cast<int>(i);
-    }
-    return -1;
 }
 
 std::string
@@ -165,55 +159,75 @@ buildConcurrencyGraph(const AppModel &model, const FlowSolution &flow)
 
     // One node per lifecycle CFG edge (= one callback execution on the
     // main looper), dropping the NextResumed → ConfigDispatch back edge
-    // so the graph models exactly one runtime change and stays acyclic.
+    // so the graph models exactly one runtime change. Node i is the
+    // callback of lc_edges[i].
     std::vector<const LcEdge *> lc_edges;
+    lc_edges.reserve(model.edges.size());
     for (const LcEdge &edge : model.edges) {
         if (edge.to == LcNode::ConfigDispatch &&
             edge.from == LcNode::NextResumed)
             continue;
         lc_edges.push_back(&edge);
     }
+    // A lifecycle chain has one edge fewer than nodes; the async chain
+    // adds three nodes and at most five edges.
+    graph.nodes.reserve(lc_edges.size() + 3);
+    graph.edges.reserve(lc_edges.size() + 5);
 
-    std::vector<int> node_of(lc_edges.size(), -1);
-    for (std::size_t i = 0; i < lc_edges.size(); ++i) {
-        const LcEdge &edge = *lc_edges[i];
+    // first_from[n]: the first callback leaving CFG node n, or -1. The
+    // async edges below anchor on three callbacks that are the only
+    // ones leaving their node on every path: onResume (Started), the
+    // runtime change (Resumed) and onStop (Saved).
+    std::array<int, kLcNodeCount> first_from;
+    first_from.fill(-1);
+    for (const LcEdge *edge : lc_edges) {
         CgNode node;
-        node.label = edge.label;
+        node.label = edge->label;
         node.looper = CgLooper::Main;
-        applyEffectMasks(node, edge, model, flow,
-                         /*original_instance=*/edge.from == LcNode::Launched);
-        node_of[i] = static_cast<int>(graph.nodes.size());
-        graph.nodes.push_back(std::move(node));
+        applyEffectMasks(node, *edge, model, flow,
+                         /*original_instance=*/edge->from == LcNode::Launched);
+        int &first = first_from[static_cast<std::size_t>(edge->from)];
+        if (first < 0)
+            first = static_cast<int>(graph.nodes.size());
+        graph.nodes.push_back(node);
     }
 
     // Lifecycle ordering: callback of edge A precedes callback of edge
     // B whenever A ends where B begins. This follows the CFG through
-    // branches (the RCH path forks at ShadowAlive).
+    // branches (the RCH path forks at ShadowAlive). The in-place path
+    // returns to Resumed, whose successor is the change it just
+    // handled; that edge would close a cycle through a second change.
     for (std::size_t i = 0; i < lc_edges.size(); ++i) {
+        if (lc_edges[i]->from == LcNode::InPlaceHandled)
+            continue;
         for (std::size_t j = 0; j < lc_edges.size(); ++j) {
             if (i != j && lc_edges[i]->to == lc_edges[j]->from)
-                graph.edges.push_back(
-                    {node_of[i], node_of[j], CgEdgeKind::Lifecycle});
+                graph.edges.push_back({static_cast<int>(i),
+                                       static_cast<int>(j),
+                                       CgEdgeKind::Lifecycle});
         }
     }
 
     if (model.async.has_task) {
-        const int change = graph.node("runtime change");
-        const int resume = graph.node("onResume");
+        const auto leaving = [&first_from](LcNode node) {
+            return first_from[static_cast<std::size_t>(node)];
+        };
+        const int resume = leaving(LcNode::Started);
+        const int change = leaving(LcNode::Resumed);
 
         CgNode execute;
         execute.label = "AsyncTask.execute";
         execute.looper = CgLooper::Main;
         execute.is_async = true;
         const int execute_id = static_cast<int>(graph.nodes.size());
-        graph.nodes.push_back(std::move(execute));
+        graph.nodes.push_back(execute);
 
         CgNode background;
         background.label = "AsyncTask.doInBackground";
         background.looper = CgLooper::Worker;
         background.is_async = true;
         const int background_id = static_cast<int>(graph.nodes.size());
-        graph.nodes.push_back(std::move(background));
+        graph.nodes.push_back(background);
 
         CgNode done;
         done.label = "AsyncTask.onPostExecute";
@@ -226,7 +240,7 @@ buildConcurrencyGraph(const AppModel &model, const FlowSolution &flow)
             done.writes |= kViewsBit;
         }
         const int done_id = static_cast<int>(graph.nodes.size());
-        graph.nodes.push_back(std::move(done));
+        graph.nodes.push_back(done);
 
         // The task starts from the resumed instance, before the change
         // (the §6 methodology seeds state while Resumed).
@@ -247,7 +261,7 @@ buildConcurrencyGraph(const AppModel &model, const FlowSolution &flow)
         if (model.async.cancels_on_stop) {
             // onStop cancels the task, so a completion that runs at
             // all ran before onStop's teardown successor.
-            const int stop = graph.node("onStop");
+            const int stop = leaving(LcNode::Saved);
             if (stop >= 0)
                 graph.edges.push_back(
                     {done_id, stop, CgEdgeKind::Program});
@@ -259,33 +273,55 @@ buildConcurrencyGraph(const AppModel &model, const FlowSolution &flow)
 MhpResult
 computeMhp(const ConcurrencyGraph &graph)
 {
+    constexpr std::size_t kMax = MhpResult::kMaxNodes;
+    const std::size_t n = graph.nodes.size();
+    RCH_ASSERT(n <= kMax, "concurrency graph has ", n,
+               " nodes, more than the ", kMax, " an MHP row holds");
     MhpResult result;
-    result.node_count = graph.nodes.size();
-    result.reach.assign(result.node_count,
-                        std::vector<bool>(result.node_count, false));
+    result.node_count = n;
 
-    // Worklist-free fixpoint: sweep the edge list, folding each edge's
-    // target closure into its source, until a full pass changes
-    // nothing. The graphs are tiny (≤ ~20 nodes), so this converges in
-    // a handful of passes; `iterations` counts them for the tests.
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        ++result.iterations;
-        for (const CgEdge &edge : graph.edges) {
-            std::vector<bool> &from = result.reach[edge.from];
-            if (!from[edge.to]) {
-                from[edge.to] = true;
-                changed = true;
-            }
-            const std::vector<bool> &to = result.reach[edge.to];
-            for (std::size_t k = 0; k < result.node_count; ++k) {
-                if (to[k] && !from[k]) {
-                    from[k] = true;
-                    changed = true;
-                }
-            }
+    // Direct successors as bit rows; in-degrees count distinct edges.
+    std::array<std::uint64_t, kMax> successors{};
+    std::array<std::uint8_t, kMax> in_degree{};
+    for (const CgEdge &edge : graph.edges) {
+        const auto from = static_cast<std::size_t>(edge.from);
+        const auto to = static_cast<std::size_t>(edge.to);
+        RCH_ASSERT(from < n && to < n, "concurrency graph edge ", edge.from,
+                   " -> ", edge.to, " names no node (", n, " nodes)");
+        const std::uint64_t bit = std::uint64_t{1} << to;
+        if ((successors[from] & bit) == 0) {
+            successors[from] |= bit;
+            ++in_degree[to];
         }
+    }
+
+    // Kahn's algorithm: a node joins the order once every predecessor
+    // has. Nodes on a cycle never do.
+    std::array<std::uint8_t, kMax> order{};
+    std::size_t placed = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (in_degree[i] == 0)
+            order[placed++] = static_cast<std::uint8_t>(i);
+    }
+    for (std::size_t next = 0; next < placed; ++next) {
+        for (std::uint64_t rest = successors[order[next]]; rest != 0;
+             rest &= rest - 1) {
+            const int j = std::countr_zero(rest);
+            if (--in_degree[j] == 0)
+                order[placed++] = static_cast<std::uint8_t>(j);
+        }
+    }
+    RCH_ASSERT(placed == n, "concurrency graph has a cycle through ",
+               n - placed, " of its ", n, " nodes");
+
+    // One pass in reverse topological order: every successor's row is
+    // final before a predecessor ORs it into its own.
+    for (std::size_t k = n; k-- > 0;) {
+        const std::size_t i = order[k];
+        std::uint64_t row = successors[i];
+        for (std::uint64_t rest = successors[i]; rest != 0; rest &= rest - 1)
+            row |= result.reach[std::countr_zero(rest)];
+        result.reach[i] = row;
     }
     return result;
 }

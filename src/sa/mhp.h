@@ -12,16 +12,21 @@
  *
  *  - Lifecycle: the CFG's own ordering (onCreate before onStart, the
  *    restart teardown before the recreated instance's callbacks, ...).
- *    The NextResumed → ConfigDispatch back edge is dropped — the graph
- *    models one runtime change, and MHP needs acyclicity.
+ *    The graph models one runtime change and must stay acyclic, so
+ *    the NextResumed → ConfigDispatch back edge is dropped, and so is
+ *    the in-place path's return from "handled in place" into the
+ *    change it just handled.
  *  - Program: per-looper program order among steps the same looper
  *    runs in a fixed sequence (execute precedes the task's result).
  *  - PostReply: the post edge from a producer to the callback it
  *    enqueues (doInBackground → onPostExecute).
  *
- * computeMhp() closes reachability over the graph with a worklist
- * fixpoint; two nodes may happen in parallel exactly when neither
- * reaches the other. "Parallel" here means *unordered dispatch*: two
+ * computeMhp() closes reachability over the graph with one 64-bit row
+ * per node: Kahn's algorithm orders the nodes topologically (and
+ * rejects a cycle), then one pass in reverse topological order ORs
+ * each node's direct successors and their finished rows into its own.
+ * Two nodes may happen in parallel exactly when neither reaches the
+ * other. "Parallel" here means *unordered dispatch*: two
  * main-looper callbacks whose queue order the scheduler does not fix
  * can land either way around, which is all a write/teardown race needs.
  *
@@ -39,6 +44,7 @@
 #ifndef RCHDROID_SA_MHP_H
 #define RCHDROID_SA_MHP_H
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -72,8 +78,11 @@ enum class CgLooper : std::uint8_t { Main, Worker };
 /** One executable step of the concurrency graph. */
 struct CgNode
 {
-    /** Protocol label ("onDestroy", "AsyncTask.onPostExecute", ...). */
-    std::string label;
+    /**
+     * Protocol label ("onDestroy", "AsyncTask.onPostExecute", ...): the
+     * model's static LcEdge::label or a literal, never owned.
+     */
+    const char *label = "";
     CgLooper looper = CgLooper::Main;
     /** Part of the async posted-callback chain. */
     bool is_async = false;
@@ -101,9 +110,6 @@ struct ConcurrencyGraph
     std::vector<CgNode> nodes;
     std::vector<CgEdge> edges;
 
-    /** Index of the node with this label, or -1. */
-    int node(const std::string &label) const;
-
     /** Multi-line debug dump (nodes, masks, edges). */
     std::string describe() const;
 };
@@ -117,28 +123,39 @@ struct ConcurrencyGraph
 ConcurrencyGraph buildConcurrencyGraph(const AppModel &model,
                                        const FlowSolution &flow);
 
-/** The MHP fixpoint's result: the reachability closure. */
+/** The MHP analysis's result: the reachability closure. */
 struct MhpResult
 {
+    /** One row per node, one bit per node: the largest graph it closes. */
+    static constexpr std::size_t kMaxNodes = 64;
+
     std::size_t node_count = 0;
-    /** reach[i][j]: node i happens before node j on every schedule. */
-    std::vector<std::vector<bool>> reach;
-    /** Worklist passes until quiescence (observability/tests). */
-    int iterations = 0;
+    /** Bit j of reach[i]: node i happens before node j. Read via reaches(). */
+    std::array<std::uint64_t, kMaxNodes> reach{};
+
+    /** Node a happens before node b on every schedule. */
+    bool reaches(std::size_t a, std::size_t b) const
+    {
+        return ((reach[a] >> b) & 1u) != 0;
+    }
 
     bool ordered(std::size_t a, std::size_t b) const
     {
-        return a == b || reach[a][b] || reach[b][a];
+        return a == b || reaches(a, b) || reaches(b, a);
     }
 
     /** Symmetric, irreflexive: unordered distinct steps. */
     bool mhp(std::size_t a, std::size_t b) const
     {
-        return a != b && !reach[a][b] && !reach[b][a];
+        return a != b && !reaches(a, b) && !reaches(b, a);
     }
 };
 
-/** Close reachability over the graph (must be acyclic). */
+/**
+ * Close reachability over the graph. Panics (RCH_ASSERT) on a graph of
+ * more than MhpResult::kMaxNodes nodes, an edge naming no node, or a
+ * cycle.
+ */
 MhpResult computeMhp(const ConcurrencyGraph &graph);
 
 /** One statically-possible race: an MHP pair with conflicting masks. */

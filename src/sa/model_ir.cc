@@ -246,6 +246,9 @@ compile(const apps::AppSpec &spec, HandlingModel handling)
     model.in_place =
         spec.handles_config_changes || spec.runtimedroid_patched;
 
+    // The longest path (stock restart) has 12 edges; reserving them
+    // saves four reallocations a model.
+    model.edges.reserve(12);
     addCommonPrefix(model);
     if (model.in_place)
         addInPlacePath(model);

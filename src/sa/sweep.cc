@@ -34,7 +34,7 @@ SweepResult::summary() const
 }
 
 std::string
-SweepResult::toJson() const
+SweepResult::toJson(const PhaseTimes *phases) const
 {
     const SweepSummary totals = summary();
     std::string out = "{\"apps\": [\n";
@@ -65,17 +65,22 @@ SweepResult::toJson() const
     out += std::to_string(totals.rch_eligible);
     out += ", \"rch_ineligible\": ";
     out += std::to_string(totals.rch_ineligible);
-    out += "}}\n";
+    out += "}";
+    if (phases != nullptr) {
+        out += ", \"phase_us\": ";
+        out += phases->toJson();
+    }
+    out += "}\n";
     return out;
 }
 
 SweepResult
-sweep(const std::vector<apps::AppSpec> &specs)
+sweep(const std::vector<apps::AppSpec> &specs, PhaseTimes *times)
 {
     SweepResult result;
     result.verdicts.reserve(specs.size());
     for (const apps::AppSpec &spec : specs)
-        result.verdicts.push_back(analyzeApp(spec));
+        result.verdicts.push_back(analyzeApp(spec, times));
     return result;
 }
 

@@ -41,12 +41,19 @@ struct SweepResult
     std::vector<AppVerdict> verdicts;
 
     SweepSummary summary() const;
-    /** `{"apps": [...], "summary": {...}}`, trailing newline included. */
-    std::string toJson() const;
+    /**
+     * `{"apps": [...], "summary": {...}}`, trailing newline included.
+     * With `phases`, a `"phase_us": {...}` member follows the summary.
+     */
+    std::string toJson(const PhaseTimes *phases = nullptr) const;
 };
 
-/** Analyze every app in `specs`. */
-SweepResult sweep(const std::vector<apps::AppSpec> &specs);
+/**
+ * Analyze every app in `specs`. With `times`, also add the host time of
+ * each phase, summed over the apps, to it.
+ */
+SweepResult sweep(const std::vector<apps::AppSpec> &specs,
+                  PhaseTimes *times = nullptr);
 
 /**
  * The full evaluation corpus: Table 3 (TP-37), Table 5 (top-100), and

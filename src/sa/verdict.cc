@@ -101,26 +101,32 @@ AppVerdict::toJson() const
 }
 
 AppVerdict
-analyzeApp(const apps::AppSpec &spec)
+analyzeApp(const apps::AppSpec &spec, PhaseTimes *times)
 {
+    PhaseClock clock(times);
     const AppModel stock_model = compile(spec, HandlingModel::Stock);
     const AppModel rch_model = compile(spec, HandlingModel::RchDroid);
+    clock.lap(&PhaseTimes::compile_ns);
     const FlowSolution stock_flow = solve(stock_model);
     const FlowSolution rch_flow = solve(rch_model);
+    clock.lap(&PhaseTimes::dataflow_ns);
 
     CheckInput input;
     input.stock = &stock_model;
     input.rch = &rch_model;
     input.stock_flow = &stock_flow;
     input.rch_flow = &rch_flow;
+    input.clock = &clock;
 
     AppVerdict verdict;
     verdict.app = spec.name;
     verdict.critical = apps::criticalStateName(spec.critical);
     verdict.in_place = stock_model.in_place;
     verdict.findings = runCheckers(input);
+    clock.lap(&PhaseTimes::checkers_ns);
     verdict.stock = foldPrediction(HandlingModel::Stock, verdict.findings);
     verdict.rch = foldPrediction(HandlingModel::RchDroid, verdict.findings);
+    clock.finish();
     return verdict;
 }
 

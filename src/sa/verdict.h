@@ -18,6 +18,7 @@
 #include "apps/app_spec.h"
 #include "sa/checkers.h"
 #include "sa/model_ir.h"
+#include "sa/phase_clock.h"
 
 namespace rchdroid::sa {
 
@@ -60,8 +61,11 @@ struct AppVerdict
     std::string toJson() const;
 };
 
-/** Compile, solve, and check one app. */
-AppVerdict analyzeApp(const apps::AppSpec &spec);
+/**
+ * Compile, solve, and check one app. With `times`, also add the host
+ * time of each phase to it.
+ */
+AppVerdict analyzeApp(const apps::AppSpec &spec, PhaseTimes *times = nullptr);
 
 } // namespace rchdroid::sa
 

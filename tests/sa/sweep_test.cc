@@ -1,8 +1,8 @@
 /**
  * @file
  * Sweep + verdict serialisation: one verdict per corpus app, JSON
- * structure, summary arithmetic, and the checker registry contract the
- * lint rule builds on.
+ * structure, summary arithmetic, the per-phase host times, and the
+ * checker registry contract the lint rule builds on.
  */
 #include <gtest/gtest.h>
 
@@ -53,6 +53,35 @@ TEST(Sweep, JsonContainsEveryAppAndTheSummary)
             << verdict.app;
     EXPECT_NE(json.find("\"summary\""), std::string::npos);
     EXPECT_NE(json.find("\"rch_eligible\""), std::string::npos);
+}
+
+TEST(Sweep, PhaseTimesAddUpAndOnlyJoinTheJsonWhenAsked)
+{
+    const std::vector<apps::AppSpec> corpus = fullCorpus();
+    const std::string untimed = sweep(corpus).toJson();
+    PhaseTimes times;
+    const SweepResult timed = sweep(corpus, &times);
+    // Timing changes no verdict, and toJson() without it no byte.
+    EXPECT_EQ(timed.toJson(), untimed);
+    const std::string with_phases = timed.toJson(&times);
+    ASSERT_GE(untimed.size(), 2u);
+    EXPECT_EQ(with_phases, untimed.substr(0, untimed.size() - 2) +
+                               ", \"phase_us\": " + times.toJson() + "}\n");
+    for (const char *key : {"compile", "dataflow", "graph", "mhp",
+                            "checkers", "total"})
+        EXPECT_NE(times.toJson().find(std::string("\"") + key + "\": "),
+                  std::string::npos)
+            << key;
+
+    // Every phase ran on 132 apps; laps never overlap, so they fit
+    // inside the total.
+    for (const std::int64_t phase :
+         {times.compile_ns, times.dataflow_ns, times.graph_ns,
+          times.mhp_ns, times.checkers_ns})
+        EXPECT_GT(phase, 0);
+    EXPECT_GE(times.total_ns, times.compile_ns + times.dataflow_ns +
+                                  times.graph_ns + times.mhp_ns +
+                                  times.checkers_ns);
 }
 
 TEST(Sweep, VerdictJsonCarriesBothModePredictions)

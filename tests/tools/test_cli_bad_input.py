@@ -12,7 +12,10 @@ standard library only; CTest passes the built binaries' paths:
 
   python3 tests/tools/test_cli_bad_input.py RCHDROID_MC RCHDROID_PROFILE \
       RCHDROID_SHELL RCHDROID_SA QUICKSTART BENCH_FIG7 BENCH_SIMCORE \
-      BENCH_TABLE2
+      BENCH_TABLE2 BENCH_MC
+
+A failed write is provoked with /dev/full, where every write fails;
+those cases are skipped on hosts without it.
 """
 
 import json
@@ -30,6 +33,8 @@ QUICKSTART = None
 BENCH_FIG7 = None
 BENCH_SIMCORE = None
 BENCH_TABLE2 = None
+BENCH_MC = None
+DEV_FULL = "/dev/full"
 QUICKSTART_TRACE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "observability_golden",
                                 "quickstart.trace.json")
@@ -245,6 +250,33 @@ class RchdroidSaTest(CliCase):
         self.assert_rejected([RCHDROID_SA, "--app", "nosuch"],
                              "unknown app 'nosuch'")
 
+    def test_unwritable_out_fails_before_the_sweep(self):
+        # Used to sweep all 132 apps, print the summary, then exit 1.
+        proc = self.run_checked(
+            [RCHDROID_SA, "--out", "/nonexistent/x.json"], 2)
+        self.assertIn("cannot write /nonexistent/x.json", proc.stderr)
+        self.assertEqual(proc.stdout, "")
+
+    @unittest.skipUnless(os.path.exists(DEV_FULL), "no /dev/full")
+    def test_failed_write_of_out(self):
+        # Used to exit 0 with the report lost.
+        self.assert_rejected([RCHDROID_SA, "--out", DEV_FULL],
+                             f"cannot write {DEV_FULL}")
+
+    def test_app_takes_no_sweep_flag(self):
+        # Each used to print the one-app dump, drop the flag and exit 0.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "x.json")
+            for extra, flag in ((["--out", path], "--out"),
+                                (["--json"], "--json"),
+                                (["--findings"], "--findings")):
+                proc = self.run_checked(
+                    [RCHDROID_SA, "--app", "ExPhotoGallery", *extra], 2)
+                self.assertIn(f"{flag} cannot be combined with --app",
+                              proc.stderr)
+                self.assertEqual(proc.stdout, "")
+            self.assertFalse(os.path.exists(path))
+
 
 class ExampleTest(CliCase):
     def test_unknown_flag(self):
@@ -309,10 +341,20 @@ class BenchTest(CliCase):
         self.assert_rejected([BENCH_SIMCORE, "--out="],
                              "--out needs a file name")
 
+    def test_bench_mc_report_needs_a_file_name(self):
+        # Used to print "cannot write " with no name.
+        self.assert_rejected([BENCH_MC, "--out="], "--out needs a file name")
+
+    @unittest.skipUnless(os.path.exists(DEV_FULL), "no /dev/full")
+    def test_bench_mc_failed_write_of_report(self):
+        # Used to exit 0 with the report lost.
+        self.assert_rejected([BENCH_MC, f"--out={DEV_FULL}", "--depth=1"],
+                             f"cannot write {DEV_FULL}")
+
 
 if __name__ == "__main__":
-    if len(sys.argv) < 9:
+    if len(sys.argv) < 10:
         sys.exit(__doc__)
     (RCHDROID_MC, RCHDROID_PROFILE, RCHDROID_SHELL, RCHDROID_SA, QUICKSTART,
-     BENCH_FIG7, BENCH_SIMCORE, BENCH_TABLE2) = sys.argv[1:9]
-    unittest.main(argv=[sys.argv[0]] + sys.argv[9:])
+     BENCH_FIG7, BENCH_SIMCORE, BENCH_TABLE2, BENCH_MC) = sys.argv[1:10]
+    unittest.main(argv=[sys.argv[0]] + sys.argv[10:])

@@ -14,6 +14,11 @@
  *   rchdroid_sa --app NAME         one app: findings + model dump
  *   rchdroid_sa --findings         sweep, every finding line-by-line
  *
+ * The sweep's summary and JSON report the host time of each analyzer
+ * phase (`phase_us`, advisory). --app takes no other flag, and --out
+ * opens FILE before the sweep: a bad flag or an unwritable FILE exits 2
+ * at once.
+ *
  * The binary never fails on findings — predictions are data. The
  * differential CTest (tests/sa/differential_test.cc) is what turns a
  * soundness violation into a red build.
@@ -55,7 +60,7 @@ analyzeOne(const std::string &name)
 }
 
 void
-printSummary(const sa::SweepResult &result)
+printSummary(const sa::SweepResult &result, const sa::PhaseTimes &phases)
 {
     const sa::SweepSummary totals = result.summary();
     std::printf("apps=%d findings=%d (errors=%d warnings=%d infos=%d)\n"
@@ -65,6 +70,11 @@ printSummary(const sa::SweepResult &result)
                 totals.warnings, totals.infos, totals.stock_clean,
                 totals.rch_clean, totals.self_handling,
                 totals.rch_eligible, totals.rch_ineligible);
+    std::printf("phase_us compile=%.1f dataflow=%.1f graph=%.1f mhp=%.1f "
+                "checkers=%.1f total=%.1f\n",
+                phases.compile_ns / 1e3, phases.dataflow_ns / 1e3,
+                phases.graph_ns / 1e3, phases.mhp_ns / 1e3,
+                phases.checkers_ns / 1e3, phases.total_ns / 1e3);
 }
 
 } // namespace
@@ -78,7 +88,8 @@ main(int argc, char **argv)
     bool list_findings = false;
 
     const char *usage = "usage: rchdroid_sa [--json] [--findings] "
-                        "[--out FILE] [--app NAME]\n";
+                        "[--out FILE]\n"
+                        "       rchdroid_sa --app NAME\n";
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, "--json") == 0) {
@@ -105,10 +116,32 @@ main(int argc, char **argv)
         }
     }
 
-    if (!app_name.empty())
+    if (!app_name.empty()) {
+        // The one-app dump is text only: it would drop a sweep flag.
+        const char *sweep_flag = json_stdout         ? "--json"
+                                 : list_findings     ? "--findings"
+                                 : !out_path.empty() ? "--out"
+                                                     : nullptr;
+        if (sweep_flag != nullptr) {
+            std::cerr << "rchdroid_sa: " << sweep_flag
+                      << " cannot be combined with --app\n"
+                      << usage;
+            return 2;
+        }
         return analyzeOne(app_name);
+    }
 
-    const sa::SweepResult result = sa::sweep(sa::fullCorpus());
+    std::ofstream out;
+    if (!out_path.empty()) {
+        out.open(out_path);
+        if (!out) {
+            std::cerr << "rchdroid_sa: cannot write " << out_path << "\n";
+            return 2;
+        }
+    }
+
+    sa::PhaseTimes phases;
+    const sa::SweepResult result = sa::sweep(sa::fullCorpus(), &phases);
     if (list_findings) {
         for (const sa::AppVerdict &verdict : result.verdicts) {
             for (const sa::Finding &finding : verdict.findings)
@@ -117,16 +150,16 @@ main(int argc, char **argv)
         }
     }
     if (!out_path.empty()) {
-        std::ofstream out(out_path);
+        out << result.toJson(&phases);
+        out.close();
         if (!out) {
             std::cerr << "rchdroid_sa: cannot write " << out_path << "\n";
-            return 1;
+            return 2;
         }
-        out << result.toJson();
     }
     if (json_stdout)
-        std::cout << result.toJson();
+        std::cout << result.toJson(&phases);
     else
-        printSummary(result);
+        printSummary(result, phases);
     return 0;
 }
