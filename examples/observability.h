@@ -98,9 +98,13 @@ class ObservabilityFlags
             if (metrics_snapshot_.empty())
                 metrics_snapshot_ = registry_.toJson();
             std::FILE *f = std::fopen(metrics_path_.c_str(), "w");
+            bool written = false;
             if (f) {
-                std::fputs(metrics_snapshot_.c_str(), f);
-                std::fclose(f);
+                // fclose flushes: a short snapshot fails only there.
+                written = std::fputs(metrics_snapshot_.c_str(), f) >= 0;
+                written = std::fclose(f) == 0 && written;
+            }
+            if (written) {
                 std::printf("metrics written to %s\n", metrics_path_.c_str());
             } else {
                 std::fprintf(stderr, "failed to write metrics to %s\n",

@@ -160,6 +160,9 @@ Tracer::writeChromeJson(const std::string &path) const
     if (!out)
         return false;
     out << toChromeJson();
+    // A trace smaller than the stream buffer is written by the flush in
+    // close(), so a failed write shows only after it.
+    out.close();
     return static_cast<bool>(out);
 }
 

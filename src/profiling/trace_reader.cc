@@ -342,10 +342,17 @@ parseChromeTrace(const std::string &json)
             static_cast<std::uint32_t>(result.input.lanes.size());
         lane_index.emplace(key, id);
         auto name = lane_names.find(key);
-        result.input.lanes.push_back(
-            name != lane_names.end()
-                ? name->second
-                : "p" + std::to_string(pid) + ".t" + std::to_string(tid));
+        if (name != lane_names.end()) {
+            result.input.lanes.push_back(name->second);
+        } else {
+            // Appended, not `"p" + std::to_string(pid)`: GCC 12 reports a
+            // false -Wrestrict on that concatenation in Release builds.
+            std::string lane = "p";
+            lane += std::to_string(pid);
+            lane += ".t";
+            lane += std::to_string(tid);
+            result.input.lanes.push_back(std::move(lane));
+        }
         return id;
     };
 

@@ -258,8 +258,8 @@ checkRchEligibility(const CheckInput &input)
  *  - Migrate × CollectShadow MHP pairs exist in the rch graph (the
  *    ShadowAlive fork makes them branch-parallel) but the two arms are
  *    mutually exclusive at runtime — one shadow either migrates or is
- *    collected — so they are suppressed here; racePairs still returns
- *    them for the graph dump.
+ *    collected — so this checker suppresses them (racePairs reports
+ *    every conflicting MHP pair).
  */
 std::vector<Finding>
 checkAsyncRace(const CheckInput &input)

@@ -31,55 +31,6 @@ maskToString(const AppModel &model, LocationMask mask)
     return out.empty() ? "none" : out;
 }
 
-const char *
-cgEdgeKindName(CgEdgeKind kind)
-{
-    switch (kind) {
-      case CgEdgeKind::Program: return "program";
-      case CgEdgeKind::PostReply: return "post";
-      case CgEdgeKind::Lifecycle: return "lifecycle";
-    }
-    return "?";
-}
-
-std::string
-ConcurrencyGraph::describe() const
-{
-    std::string out;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-        const CgNode &node = nodes[i];
-        out += "  [";
-        out += std::to_string(i);
-        out += "] ";
-        out += node.label;
-        out += node.looper == CgLooper::Main ? " (main" : " (worker";
-        if (node.is_async)
-            out += ", async";
-        out += ")";
-        if (node.reads || node.writes || node.teardown) {
-            out += " r=0x";
-            char buf[16];
-            std::snprintf(buf, sizeof buf, "%x", node.reads);
-            out += buf;
-            std::snprintf(buf, sizeof buf, " w=0x%x", node.writes);
-            out += buf;
-            std::snprintf(buf, sizeof buf, " t=0x%x", node.teardown);
-            out += buf;
-        }
-        out += "\n";
-    }
-    for (const CgEdge &edge : edges) {
-        out += "  ";
-        out += nodes[edge.from].label;
-        out += " -> ";
-        out += nodes[edge.to].label;
-        out += " (";
-        out += cgEdgeKindName(edge.kind);
-        out += ")\n";
-    }
-    return out;
-}
-
 namespace {
 
 /** All location bits of the model (view-backed user state). */
@@ -202,9 +153,8 @@ buildConcurrencyGraph(const AppModel &model, const FlowSolution &flow)
             continue;
         for (std::size_t j = 0; j < lc_edges.size(); ++j) {
             if (i != j && lc_edges[i]->to == lc_edges[j]->from)
-                graph.edges.push_back({static_cast<int>(i),
-                                       static_cast<int>(j),
-                                       CgEdgeKind::Lifecycle});
+                graph.edges.push_back(
+                    {static_cast<int>(i), static_cast<int>(j)});
         }
     }
 
@@ -245,26 +195,23 @@ buildConcurrencyGraph(const AppModel &model, const FlowSolution &flow)
         // The task starts from the resumed instance, before the change
         // (the §6 methodology seeds state while Resumed).
         if (resume >= 0)
-            graph.edges.push_back(
-                {resume, execute_id, CgEdgeKind::Program});
-        graph.edges.push_back(
-            {execute_id, background_id, CgEdgeKind::PostReply});
-        graph.edges.push_back(
-            {background_id, done_id, CgEdgeKind::PostReply});
+            graph.edges.push_back({resume, execute_id});
+        // Post edges: execute posts doInBackground, which posts the
+        // result.
+        graph.edges.push_back({execute_id, background_id});
+        graph.edges.push_back({background_id, done_id});
 
         if (!model.async.may_straddle_change && change >= 0) {
             // Zero-duration task: its completion is already dispatched
             // when the change can arrive.
-            graph.edges.push_back(
-                {done_id, change, CgEdgeKind::Program});
+            graph.edges.push_back({done_id, change});
         }
         if (model.async.cancels_on_stop) {
             // onStop cancels the task, so a completion that runs at
             // all ran before onStop's teardown successor.
             const int stop = leaving(LcNode::Saved);
             if (stop >= 0)
-                graph.edges.push_back(
-                    {done_id, stop, CgEdgeKind::Program});
+                graph.edges.push_back({done_id, stop});
         }
     }
     return graph;

@@ -8,7 +8,7 @@
  * every lifecycle callback from the Fig. 4 CFG, plus the AsyncTask's
  * execute / doInBackground / onPostExecute steps from the async posted-
  * callback summary. Edges are happens-before facts the model
- * guarantees:
+ * guarantees, from three sources (an edge does not record which):
  *
  *  - Lifecycle: the CFG's own ordering (onCreate before onStart, the
  *    restart teardown before the recreated instance's callbacks, ...).
@@ -92,26 +92,17 @@ struct CgNode
     LocationMask teardown = 0;
 };
 
-enum class CgEdgeKind : std::uint8_t { Program, PostReply, Lifecycle };
-
-/** "program" / "post" / "lifecycle". */
-const char *cgEdgeKindName(CgEdgeKind kind);
-
 /** One happens-before edge: nodes[from] precedes nodes[to]. */
 struct CgEdge
 {
     int from = 0;
     int to = 0;
-    CgEdgeKind kind = CgEdgeKind::Lifecycle;
 };
 
 struct ConcurrencyGraph
 {
     std::vector<CgNode> nodes;
     std::vector<CgEdge> edges;
-
-    /** Multi-line debug dump (nodes, masks, edges). */
-    std::string describe() const;
 };
 
 /**

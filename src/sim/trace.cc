@@ -115,6 +115,9 @@ TraceRecorder::writeCsv(const std::string &path) const
     if (!out)
         return false;
     out << toCsv();
+    // A log smaller than the stream buffer is written by the flush in
+    // close(), so a failed write shows only after it.
+    out.close();
     return static_cast<bool>(out);
 }
 

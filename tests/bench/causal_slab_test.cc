@@ -31,6 +31,19 @@
 namespace rchdroid {
 namespace {
 
+/**
+ * `prefix` followed by `n`. Appended, not `"m" + std::to_string(n)`:
+ * GCC 12 reports a false -Wrestrict on that concatenation in Release
+ * builds.
+ */
+std::string
+numbered(const char *prefix, std::int64_t n)
+{
+    std::string name = prefix;
+    name += std::to_string(n);
+    return name;
+}
+
 TEST(CausalSlab, MessageQueueRecyclingNeverLeaksCausalId)
 {
     constexpr SimTime kEnd = std::numeric_limits<SimTime>::max();
@@ -48,7 +61,7 @@ TEST(CausalSlab, MessageQueueRecyclingNeverLeaksCausalId)
         msg.callback = [] {};
         msg.when = std::uniform_int_distribution<SimTime>(0, 50)(rng);
         msg.cost = next_name++;
-        msg.tag = "m" + std::to_string(msg.cost);
+        msg.tag = numbered("m", msg.cost);
         msg.causal_id = causal;
         pending[msg.cost] = msg.causal_id;
         const SimTime when = msg.when;
@@ -191,7 +204,7 @@ TEST(CausalSlab, FlowEdgesBindEachPostToItsOwnDispatch)
         const int children = std::uniform_int_distribution<int>(0, 3)(rng);
         for (int i = 0; i < children && budget > 0; ++i, --budget) {
             Message msg;
-            std::string child = "m" + std::to_string(next_tag++);
+            std::string child = numbered("m", next_tag++);
             msg.callback = [&body, child] { body(child); };
             msg.tag = child;
             msg.when = scheduler.now() +
@@ -201,7 +214,7 @@ TEST(CausalSlab, FlowEdgesBindEachPostToItsOwnDispatch)
         }
     };
     for (int i = 0; i < 8; ++i)
-        looper.post([&body, i] { body("root" + std::to_string(i)); });
+        looper.post([&body, i] { body(numbered("root", i)); });
     scheduler.runUntilIdle();
     tracer.clearClock();
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <filesystem>
 #include <string>
 
 #include "platform/tracing.h"
@@ -326,6 +327,17 @@ TEST(Tracer, WriteChromeJsonRoundTrips)
     const std::string path = ::testing::TempDir() + "/tracing_test.json";
     ASSERT_TRUE(tracer.writeChromeJson(path));
     EXPECT_FALSE(tracer.writeChromeJson("/nonexistent-dir/x/t.json"));
+}
+
+TEST(Tracer, WriteChromeJsonReportsAFailedFlush)
+{
+    // Every write to /dev/full fails. A one-event trace fits the stream
+    // buffer, so its write fails only when the stream is flushed.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full";
+    Tracer tracer;
+    tracer.instantAt(1, "marker");
+    EXPECT_FALSE(tracer.writeChromeJson("/dev/full"));
 }
 
 TEST(Tracer, NowWithoutClockIsZero)

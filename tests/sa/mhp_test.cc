@@ -39,7 +39,7 @@ TEST(Mhp, OrderedByPostEdge)
     // producer —post→ callback: a queue edge is a happens-before fact.
     ConcurrencyGraph g;
     g.nodes = {node("work", CgLooper::Worker), node("done")};
-    g.edges = {{0, 1, CgEdgeKind::PostReply}};
+    g.edges = {{0, 1}};
     const MhpResult mhp = computeMhp(g);
     EXPECT_TRUE(mhp.ordered(0, 1));
     EXPECT_FALSE(mhp.mhp(0, 1));
@@ -49,8 +49,7 @@ TEST(Mhp, OrderedByLifecycleChain)
 {
     ConcurrencyGraph g;
     g.nodes = {node("onPause"), node("onStop"), node("onDestroy")};
-    g.edges = {{0, 1, CgEdgeKind::Lifecycle},
-               {1, 2, CgEdgeKind::Lifecycle}};
+    g.edges = {{0, 1}, {1, 2}};
     const MhpResult mhp = computeMhp(g);
     // Transitive: onPause precedes onDestroy without a direct edge.
     EXPECT_TRUE(mhp.ordered(0, 2));
@@ -62,8 +61,7 @@ TEST(Mhp, TrulyParallelWhenNoPathEitherWay)
 {
     ConcurrencyGraph g;
     g.nodes = {node("fork"), node("left"), node("right", CgLooper::Worker)};
-    g.edges = {{0, 1, CgEdgeKind::Program},
-               {0, 2, CgEdgeKind::PostReply}};
+    g.edges = {{0, 1}, {0, 2}};
     const MhpResult mhp = computeMhp(g);
     EXPECT_TRUE(mhp.mhp(1, 2));
     EXPECT_TRUE(mhp.mhp(2, 1)); // symmetric
@@ -81,10 +79,7 @@ TEST(Mhp, TransitiveDiamondJoinsAreOrdered)
     //      3
     ConcurrencyGraph g;
     g.nodes = {node("fork"), node("a"), node("b"), node("join")};
-    g.edges = {{0, 1, CgEdgeKind::Lifecycle},
-               {0, 2, CgEdgeKind::Lifecycle},
-               {1, 3, CgEdgeKind::Lifecycle},
-               {2, 3, CgEdgeKind::Lifecycle}};
+    g.edges = {{0, 1}, {0, 2}, {1, 3}, {2, 3}};
     const MhpResult mhp = computeMhp(g);
     EXPECT_TRUE(mhp.mhp(1, 2));
     EXPECT_TRUE(mhp.ordered(0, 3));
@@ -163,8 +158,7 @@ TEST(Mhp, RandomizedAgainstReferenceDfs)
         for (std::size_t i = 0; i < n; ++i) {
             for (std::size_t j = i + 1; j < n; ++j) {
                 if (next() % one_in == 0)
-                    g.edges.push_back(
-                        {rank[i], rank[j], CgEdgeKind::Program});
+                    g.edges.push_back({rank[i], rank[j]});
             }
         }
         for (std::size_t i = g.edges.size(); i > 1; --i)
@@ -197,7 +191,7 @@ TEST(Mhp, ClosesAGraphOfExactlyTheRowWidth)
     ConcurrencyGraph g;
     g.nodes.assign(MhpResult::kMaxNodes, node("n"));
     for (int i = 0; i + 1 < static_cast<int>(MhpResult::kMaxNodes); ++i)
-        g.edges.push_back({i + 1, i, CgEdgeKind::Lifecycle});
+        g.edges.push_back({i + 1, i});
     const MhpResult mhp = computeMhp(g);
     EXPECT_TRUE(mhp.reaches(MhpResult::kMaxNodes - 1, 0));
     EXPECT_FALSE(mhp.reaches(0, MhpResult::kMaxNodes - 1));
@@ -216,9 +210,7 @@ TEST(MhpDeathTest, RejectsACycle)
     // buildConcurrencyGraph must never emit one.
     ConcurrencyGraph g;
     g.nodes = {node("a"), node("b"), node("c")};
-    g.edges = {{0, 1, CgEdgeKind::Lifecycle},
-               {1, 2, CgEdgeKind::Lifecycle},
-               {2, 1, CgEdgeKind::Lifecycle}};
+    g.edges = {{0, 1}, {1, 2}, {2, 1}};
     EXPECT_DEATH(computeMhp(g), "cycle through 2 of its 3 nodes");
 }
 
@@ -226,7 +218,7 @@ TEST(MhpDeathTest, RejectsAnEdgeNamingNoNode)
 {
     ConcurrencyGraph g;
     g.nodes = {node("a")};
-    g.edges = {{0, 1, CgEdgeKind::Program}};
+    g.edges = {{0, 1}};
     EXPECT_DEATH(computeMhp(g), "names no node");
 }
 
@@ -259,7 +251,7 @@ TEST(RacePairs, OrderedConflictIsNotARace)
     ConcurrencyGraph g;
     g.nodes = {node("writer", CgLooper::Main, 0, kViewsBit),
                node("teardown", CgLooper::Main, 0, 0, kViewsBit)};
-    g.edges = {{0, 1, CgEdgeKind::Lifecycle}};
+    g.edges = {{0, 1}};
     const MhpResult mhp = computeMhp(g);
     EXPECT_TRUE(racePairs(g, mhp).empty());
 }

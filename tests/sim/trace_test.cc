@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 
 #include "sim/trace.h"
@@ -150,6 +151,18 @@ TEST(TraceRecorder, CsvWriteToFile)
     std::getline(in, header);
     EXPECT_EQ(header, "time_ms,kind,detail,value");
     EXPECT_FALSE(trace.writeCsv("/nonexistent-dir/x/y.csv"));
+}
+
+TEST(TraceRecorder, CsvWriteReportsAFailedFlush)
+{
+    // Every write to /dev/full fails. A one-event log fits the stream
+    // buffer, so its write fails only when the stream is flushed.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full";
+    TraceRecorder trace;
+    trace.record(
+        TelemetryEvent{milliseconds(1), kinds::kAppResumed, "d", 0});
+    EXPECT_FALSE(trace.writeCsv("/dev/full"));
 }
 
 TEST(TraceRecorder, ClearResets)

@@ -220,6 +220,29 @@ class RchdroidShellTest(CliCase):
         # Used to switch to an empty locale.
         self.reject("locale", "locale: missing <tag>", "handling")
 
+    def test_write_commands_need_a_path(self):
+        # Both used to print "error: cannot write " with no file name.
+        self.reject("metrics-json", "metrics-json: missing <path>",
+                    "metrics written")
+        self.reject("trace-csv", "trace-csv: missing <path>",
+                    "trace written")
+
+    @unittest.skipUnless(os.path.exists(DEV_FULL), "no /dev/full")
+    def test_failed_write_of_a_command(self):
+        # Both used to print "... written to /dev/full" and exit 0.
+        self.reject(f"metrics-json {DEV_FULL}", f"cannot write {DEV_FULL}",
+                    "metrics written")
+        self.reject(f"trace-csv {DEV_FULL}", f"cannot write {DEV_FULL}",
+                    "trace written")
+
+    @unittest.skipUnless(os.path.exists(DEV_FULL), "no /dev/full")
+    def test_failed_write_of_trace_out(self):
+        # Used to print "trace written to /dev/full (0 events)", exit 0.
+        proc = self.run_checked([RCHDROID_SHELL, f"--trace-out={DEV_FULL}"],
+                                1, stdin="quit\n")
+        self.assertIn(f"failed to write trace to {DEV_FULL}", proc.stderr)
+        self.assertNotIn("trace written", proc.stdout)
+
     def test_launch_needs_an_app_that_is_not_running(self):
         # Both used to die on SIGABRT: "launch of ... did not complete".
         self.reject("launch", "launch: Benchmark4 is already running",
@@ -299,6 +322,14 @@ class ExampleTest(CliCase):
             self.assert_rejected([QUICKSTART, "--trace-out", path],
                                  "unknown flag: --trace-out")
             self.assertFalse(os.path.exists(path))
+
+    @unittest.skipUnless(os.path.exists(DEV_FULL), "no /dev/full")
+    def test_failed_write_of_metrics(self):
+        # Used to print "metrics written to /dev/full" and exit 0.
+        proc = self.run_checked([QUICKSTART, f"--metrics-json={DEV_FULL}"],
+                                1)
+        self.assertIn(f"failed to write metrics to {DEV_FULL}", proc.stderr)
+        self.assertNotIn("metrics written", proc.stdout)
 
 
 class BenchTest(CliCase):

@@ -9,7 +9,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "platform/rng.h"
@@ -24,22 +26,40 @@
 namespace rchdroid {
 namespace {
 
+/**
+ * `prefix` followed by `n`. Appended, not `"w" + std::to_string(n)`:
+ * GCC 12 reports a false -Wrestrict on that concatenation in Release
+ * builds.
+ */
+std::string
+numbered(const char *prefix, std::int64_t n)
+{
+    std::string name = prefix;
+    name += std::to_string(n);
+    return name;
+}
+
+/** With probability `p`, the next unique id `prefix`N; otherwise none. */
+std::string
+maybeId(Rng &rng, double p, const char *prefix, int &id_counter)
+{
+    return rng.nextBool(p) ? numbered(prefix, id_counter++) : std::string{};
+}
+
 /** Build a random widget; `id_counter` keeps ids unique and stable. */
 std::unique_ptr<View>
 randomWidget(Rng &rng, int &id_counter)
 {
-    const std::string id = rng.nextBool(0.85)
-                               ? "w" + std::to_string(id_counter++)
-                               : std::string{}; // some id-less views
+    const std::string id = maybeId(rng, 0.85, "w", id_counter);
     switch (rng.nextInt(0, 7)) {
       case 0: {
         auto v = std::make_unique<TextView>(id);
-        v->setText("t" + std::to_string(rng.nextInt(0, 999)));
+        v->setText(numbered("t", rng.nextInt(0, 999)));
         return v;
       }
       case 1: {
         auto v = std::make_unique<EditText>(id);
-        v->typeText("e" + std::to_string(rng.nextInt(0, 999)));
+        v->typeText(numbered("e", rng.nextInt(0, 999)));
         return v;
       }
       case 2: {
@@ -63,13 +83,13 @@ randomWidget(Rng &rng, int &id_counter)
         auto v = std::make_unique<ImageView>(id);
         if (rng.nextBool(0.7)) {
             v->setDrawable(DrawableValue{
-                "img" + std::to_string(rng.nextInt(0, 99)), 8, 8});
+                numbered("img", rng.nextInt(0, 99)), 8, 8});
         }
         return v;
       }
       case 6: {
         auto v = std::make_unique<VideoView>(id);
-        v->setVideoUri("u" + std::to_string(rng.nextInt(0, 9)));
+        v->setVideoUri(numbered("u", rng.nextInt(0, 9)));
         v->seekTo(rng.nextInt(0, 100'000));
         return v;
       }
@@ -86,9 +106,7 @@ std::unique_ptr<ViewGroup>
 randomTree(Rng &rng, int &id_counter, int depth = 0)
 {
     auto group = [&]() -> std::unique_ptr<ViewGroup> {
-        const std::string id = rng.nextBool(0.7)
-                                   ? "g" + std::to_string(id_counter++)
-                                   : std::string{};
+        const std::string id = maybeId(rng, 0.7, "g", id_counter);
         if (rng.nextBool(0.3))
             return std::make_unique<ScrollView>(id);
         return std::make_unique<LinearLayout>(
@@ -255,7 +273,7 @@ TEST_P(TreeFuzz, RandomMutationsMigrateToMappedPeers)
         if (v.id().empty() || !v.sunnyPeer())
             return;
         if (auto *text = dynamic_cast<TextView *>(&v)) {
-            text->setText("mut" + std::to_string(rng.nextInt(0, 99)));
+            text->setText(numbered("mut", rng.nextInt(0, 99)));
             ++mutations;
         } else if (auto *bar = dynamic_cast<ProgressBar *>(&v)) {
             bar->setProgress(static_cast<int>(rng.nextInt(1, 100)));

@@ -4,7 +4,7 @@
 Usage: compare_mc.py BASELINE_JSON CURRENT_JSON
 
 bench_mc explores every model-check scenario once and reports two kinds
-of numbers, which (following tools/compare_simcore.py) gate differently:
+of numbers, which gate differently:
 
 The deterministic counters (COUNTERS below) gate HARD: every baseline
 scenario must appear in the run, at the baseline's depth, with exactly

@@ -287,16 +287,25 @@ execute(ShellState &state, const std::string &line)
     } else if (command == "metrics-json") {
         std::string path;
         args >> path;
+        if (path.empty()) {
+            std::printf("error: metrics-json: missing <path>\n");
+            return false;
+        }
         std::ofstream out(path);
+        out << sim::metricsJson(device);
+        out.close(); // flushes, so a failed write shows below
         if (!out) {
             std::printf("error: cannot write %s\n", path.c_str());
             return false;
         }
-        out << sim::metricsJson(device);
         std::printf("metrics written to %s\n", path.c_str());
     } else if (command == "trace-csv") {
         std::string path;
         args >> path;
+        if (path.empty()) {
+            std::printf("error: trace-csv: missing <path>\n");
+            return false;
+        }
         if (!device.trace().writeCsv(path)) {
             std::printf("error: cannot write %s\n", path.c_str());
             return false;
