@@ -113,7 +113,7 @@ ActivityStarter::setTaskFromIntentActivity(TaskRecord &task,
 {
     const ActivityToken previous_top = task.top();
     ActivityRecord *previous_record = atms_.mutableRecordFor(previous_top);
-    RCH_TRACE_SCOPE_ARG("rch.coinFlip", intent.component, "rch");
+    const trace::TraceScope span("rch.coinFlip", intent.component, "rch");
 
     // Coin-flip probe: is there a live shadow record for this component
     // in the current task?

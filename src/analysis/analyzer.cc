@@ -87,11 +87,8 @@ Analyzer::onLooperDestroyed(Looper &looper)
 }
 
 void
-Analyzer::onMessageSend(Looper &target, std::uint64_t msg_id, SimTime when,
-                        const std::string &tag)
+Analyzer::onMessageSend(Looper &target, std::uint64_t msg_id)
 {
-    (void)when;
-    (void)tag;
     races_.onMessageSend(target, msg_id);
 }
 

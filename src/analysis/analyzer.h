@@ -66,8 +66,7 @@ class Analyzer final : public obs::Observer
      */
     void onLooperCreated(Looper &looper) override;
     void onLooperDestroyed(Looper &looper) override;
-    void onMessageSend(Looper &target, std::uint64_t msg_id, SimTime when,
-                       const std::string &tag) override;
+    void onMessageSend(Looper &target, std::uint64_t msg_id) override;
     void onDispatchBegin(Looper &looper, std::uint64_t msg_id,
                          const std::string &tag) override;
     void onDispatchEnd(Looper &looper, SimTime start, SimTime end) override;

@@ -119,7 +119,7 @@ std::shared_ptr<Activity>
 ActivityThread::performLaunchActivity(const LaunchArgs &args,
                                       const Bundle *saved, bool as_sunny)
 {
-    RCH_TRACE_SCOPE_ARG("app.performLaunch", args.component, "app");
+    const trace::TraceScope span("app.performLaunch", args.component, "app");
     auto activity = createInstance(args.component, args.token);
     activities_[args.token] = activity;
     metrics::set(metrics::Gauge::kLiveActivities,

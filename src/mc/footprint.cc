@@ -5,12 +5,9 @@
 namespace rchdroid::mc {
 
 void
-FootprintRecorder::onMessageSend(Looper &target, std::uint64_t msg_id,
-                                 SimTime when, const std::string &tag)
+FootprintRecorder::onMessageSend(Looper &target, std::uint64_t msg_id)
 {
     (void)msg_id;
-    (void)when;
-    (void)tag;
     if (footprint_ != nullptr)
         footprint_->insert(target.name());
 }

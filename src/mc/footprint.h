@@ -26,7 +26,6 @@
 #include <string>
 
 #include "os/observer.h"
-#include "platform/time.h"
 
 namespace rchdroid::mc {
 
@@ -43,8 +42,7 @@ class FootprintRecorder final : public obs::Observer
     /** Record nothing until the next record(). */
     void stop() { footprint_ = nullptr; }
 
-    void onMessageSend(Looper &target, std::uint64_t msg_id, SimTime when,
-                       const std::string &tag) override;
+    void onMessageSend(Looper &target, std::uint64_t msg_id) override;
     void onDispatchBegin(Looper &looper, std::uint64_t msg_id,
                          const std::string &tag) override;
     void onSyncBarrier(const void *scope, const char *label) override;

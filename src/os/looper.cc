@@ -31,9 +31,7 @@ Looper::enqueue(Message msg)
     RCH_ASSERT(msg.callback != nullptr, "message without callback: ", msg.tag);
     msg.when = std::max(msg.when, scheduler_.now());
     msg.analysis_id = ++next_msg_id_;
-    obs::notify(&obs::Observer::onMessageSend, *this, msg.analysis_id,
-                msg.when, msg.tag);
-#if RCHDROID_TRACING
+    obs::notify(&obs::Observer::onMessageSend, *this, msg.analysis_id);
     // Producer side of the causal flow edge. Three cases:
     //  - posted from inside some looper's dispatch: fresh flow id, and
     //    the flow-start lands at the post site inside the producer's
@@ -62,7 +60,6 @@ Looper::enqueue(Message msg)
             msg.causal_id = tracer->pendingCausal();
         }
     }
-#endif
     const SimTime when = msg.when;
     queue_.push(when, std::move(msg));
     metrics::observe(metrics::Histogram::kQueueDepth,
@@ -142,10 +139,9 @@ Looper::onWakeup()
     setCurrent(this);
     obs::notify(&obs::Observer::onDispatchBegin, *this, msg->analysis_id,
                 current_tag_);
-#if RCHDROID_TRACING
     // One thread-local load each for the registry and the tracer; the
     // pointers are reused after the callback so the per-dispatch cost
-    // of disabled instrumentation stays at two loads + two branches.
+    // of uninstalled instrumentation stays at two loads + two branches.
     metrics::MetricsRegistry *registry = metrics::MetricsRegistry::current();
     if (registry) {
         registry->add(metrics::Counter::kMessagesDispatched);
@@ -177,7 +173,6 @@ Looper::onWakeup()
                            /*bind_enclosing=*/true);
         }
     }
-#endif
 
     msg->callback();
 
@@ -187,7 +182,6 @@ Looper::onWakeup()
     setCurrent(previous_current);
     total_busy_ += current_cost_;
     ++dispatched_;
-#if RCHDROID_TRACING
     if (registry) {
         registry->observe(metrics::Histogram::kDispatchCostUs,
                           static_cast<double>(current_cost_) / 1000.0);
@@ -196,7 +190,6 @@ Looper::onWakeup()
         tracer->endOnAt(tracer->currentLane(), busy_until_);
         tracer->setCurrentLane(previous_lane);
     }
-#endif
     dispatching_ = false;
     current_tag_.clear();
     armWakeup();
@@ -205,7 +198,6 @@ Looper::onWakeup()
 std::uint64_t
 beginTraceFlow(const Looper *producer, const std::string &name)
 {
-#if RCHDROID_TRACING
     trace::Tracer *tracer = trace::Tracer::current();
     if (tracer == nullptr || producer == nullptr ||
         !producer->isDispatching())
@@ -214,11 +206,6 @@ beginTraceFlow(const Looper *producer, const std::string &name)
     tracer->flowAt(trace::Phase::kFlowStart, tracer->currentLane(),
                    tracer->now(), id, name, /*bind_enclosing=*/false);
     return id;
-#else
-    (void)producer;
-    (void)name;
-    return 0;
-#endif
 }
 
 } // namespace rchdroid

@@ -136,9 +136,8 @@ class Looper
 /**
  * Start a trace flow at a post site: when a tracer is installed and
  * `producer` is dispatching, emit a flow-start named `name` on the
- * current lane and return its id. Returns 0 otherwise, and always under
- * RCHDROID_TRACING=OFF. The message or binder leg posted next carries
- * the id to its consumer.
+ * current lane and return its id; returns 0 otherwise. The message or
+ * binder leg posted next carries the id to its consumer.
  */
 std::uint64_t beginTraceFlow(const Looper *producer, const std::string &name);
 

@@ -21,9 +21,10 @@
  * never depends on the higher layers whose objects it reports about.
  * The analysis library casts identities back to the types it knows.
  *
- * trace::Tracer and metrics::MetricsRegistry are not on the chain: their
- * call sites compile out under RCHDROID_TRACING=OFF, and the chain is
- * always compiled (DESIGN.md §10).
+ * trace::Tracer and metrics::MetricsRegistry are not on the chain: each
+ * is one thread-local sink that its call sites drive directly, with
+ * span, lane and flow-id state a void fan-out cannot carry (DESIGN.md
+ * §10).
  */
 #ifndef RCHDROID_OS_OBSERVER_H
 #define RCHDROID_OS_OBSERVER_H
@@ -67,13 +68,11 @@ class Observer
      * A message was enqueued to `target`. The sending thread, if any, is
      * Looper::current() at call time; enqueues from outside any dispatch
      * (harness code, raw scheduler events) have no sender and create no
-     * happens-before edge. `when` is the (clamped) due time the queue
-     * will order it by and `tag` its debug tag — the model checker uses
-     * both to recognise same-slot post collisions (DESIGN.md §14).
+     * happens-before edge. The analyzer keys the edge by `msg_id`; the
+     * model checker's footprint records only `target`.
      */
-    virtual void onMessageSend(Looper &target, std::uint64_t msg_id,
-                               SimTime when, const std::string &tag)
-    { (void)target; (void)msg_id; (void)when; (void)tag; }
+    virtual void onMessageSend(Looper &target, std::uint64_t msg_id)
+    { (void)target; (void)msg_id; }
     /** `looper` began dispatching the message `msg_id`. */
     virtual void onDispatchBegin(Looper &looper, std::uint64_t msg_id,
                                  const std::string &tag)

@@ -56,7 +56,6 @@ SimScheduler::dispatch(SimTime when, Event &&event)
 {
     now_ = when;
     ++executed_;
-#if RCHDROID_TRACING
     if (event.causal_id != 0) {
         if (trace::Tracer *tracer = trace::Tracer::current()) {
             // Carry the flow id across the raw hop: any message a
@@ -69,7 +68,6 @@ SimScheduler::dispatch(SimTime when, Event &&event)
             return;
         }
     }
-#endif
     event.fn();
 }
 

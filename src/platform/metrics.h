@@ -9,17 +9,13 @@
  * (shell, example, test) creates a MetricsRegistry and installs it with
  * ScopedMetricsRegistry; instrumented framework code reports through the
  * null-safe free helpers (metrics::add, metrics::observe, ...), which
- * are a single thread-local load + branch when no registry is installed
- * and compile out entirely under RCHDROID_TRACING=0. The thread-local
- * seam keeps independent simulations isolated under the bench
- * ParallelRunner, exactly like Looper::current().
+ * cost a single thread-local load + branch when no registry is
+ * installed. The thread-local seam keeps independent simulations
+ * isolated under the bench ParallelRunner, exactly like
+ * Looper::current().
  */
 #ifndef RCHDROID_PLATFORM_METRICS_H
 #define RCHDROID_PLATFORM_METRICS_H
-
-#ifndef RCHDROID_TRACING
-#define RCHDROID_TRACING 1
-#endif
 
 #include <array>
 #include <cstddef>
@@ -216,11 +212,8 @@ class ScopedMetricsRegistry
 };
 
 // Null-safe reporting helpers: the instrumentation sites call these.
-// With RCHDROID_TRACING=0 they are empty inline functions the optimiser
-// deletes; built in but with no registry installed they cost one
-// thread-local load and a predictable branch.
-#if RCHDROID_TRACING
-
+// With no registry installed they cost one thread-local load and a
+// predictable branch.
 inline void
 add(Counter c, std::uint64_t n = 1)
 {
@@ -248,15 +241,6 @@ observe(Histogram h, double value)
     if (MetricsRegistry *r = MetricsRegistry::current())
         r->observe(h, value);
 }
-
-#else // !RCHDROID_TRACING
-
-inline void add(Counter, std::uint64_t = 1) {}
-inline void addLabeled(Counter, std::string_view, std::uint64_t = 1) {}
-inline void set(Gauge, double) {}
-inline void observe(Histogram, double) {}
-
-#endif // RCHDROID_TRACING
 
 } // namespace rchdroid::metrics
 

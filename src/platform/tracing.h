@@ -24,16 +24,16 @@
  * message's accumulated-cost end, which gives nested spans real
  * durations instead of zero-width ticks.
  *
- * Hot-path instrumentation goes through the RCH_TRACE_* macros below,
- * which vanish under RCHDROID_TRACING=0; the classes themselves stay
- * compiled so the shell/example plumbing builds in every configuration.
+ * Framework code opens spans with TraceScope objects and emits events
+ * through Tracer::current(); while no tracer is installed, each hook
+ * costs one thread-local load and a branch.
  */
 #ifndef RCHDROID_PLATFORM_TRACING_H
 #define RCHDROID_PLATFORM_TRACING_H
 
-#ifndef RCHDROID_TRACING
+// Always 1: tracing is compiled into every build. Only the end-to-end
+// benchmark's config line (e2ebench/src/main.cc) reads it.
 #define RCHDROID_TRACING 1
-#endif
 
 #include <cstdint>
 #include <functional>
@@ -276,32 +276,5 @@ class TraceScope
 };
 
 } // namespace rchdroid::trace
-
-// Instrumentation macros: the only tracer touchpoints on framework hot
-// paths. They disappear entirely under RCHDROID_TRACING=0.
-#define RCH_TRACE_CAT2_(a, b) a##b
-#define RCH_TRACE_CAT_(a, b) RCH_TRACE_CAT2_(a, b)
-
-#if RCHDROID_TRACING
-/** Span covering the rest of the enclosing block. */
-#define RCH_TRACE_SCOPE(name, cat)                                            \
-    ::rchdroid::trace::TraceScope RCH_TRACE_CAT_(rch_trace_scope_,            \
-                                                 __COUNTER__)(name, cat)
-/** Same, with a free-form detail arg. */
-#define RCH_TRACE_SCOPE_ARG(name, arg, cat)                                   \
-    ::rchdroid::trace::TraceScope RCH_TRACE_CAT_(rch_trace_scope_,            \
-                                                 __COUNTER__)(name, arg, cat)
-/** Instant marker at the cost-aware now. */
-#define RCH_TRACE_INSTANT(name, arg)                                          \
-    do {                                                                      \
-        if (::rchdroid::trace::Tracer *rch_trace_t_ =                         \
-                ::rchdroid::trace::Tracer::current())                         \
-            rch_trace_t_->instant(name, arg);                                 \
-    } while (0)
-#else
-#define RCH_TRACE_SCOPE(name, cat) ((void)0)
-#define RCH_TRACE_SCOPE_ARG(name, arg, cat) ((void)0)
-#define RCH_TRACE_INSTANT(name, arg) ((void)0)
-#endif
 
 #endif // RCHDROID_PLATFORM_TRACING_H

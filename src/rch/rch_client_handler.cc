@@ -68,7 +68,8 @@ RchClientHandler::onConfigurationChanged(ActivityThread &thread,
         return;
     }
     ++stats_.runtime_changes;
-    RCH_TRACE_SCOPE_ARG("rch.shadowDemotion", activity->component(), "rch");
+    const trace::TraceScope span("rch.shadowDemotion", activity->component(),
+                                 "rch");
 
     // Detach any stale listener before the snapshot; the instance keeps
     // serving async callbacks in the shadow state, where the migrator
@@ -120,12 +121,12 @@ RchClientHandler::performInitLaunch(ActivityThread &thread,
     const Bundle *saved =
         (shadow && shadow->hasShadowSnapshot()) ? &shadow->shadowSnapshot()
                                                 : nullptr;
-    RCH_TRACE_SCOPE_ARG("rch.initLaunch", args.component, "rch");
+    const trace::TraceScope span("rch.initLaunch", args.component, "rch");
     auto sunny = thread.performLaunchActivity(args, saved, /*as_sunny=*/true);
     ++stats_.init_launches;
 
     if (shadow) {
-        RCH_TRACE_SCOPE("rch.buildMapping", "rch");
+        const trace::TraceScope mapping_span("rch.buildMapping", "rch");
         const MappingResult mapping = mapper_.buildMapping(*sunny, *shadow);
         stats_.views_mapped += static_cast<std::uint64_t>(mapping.wired);
         stats_.views_unmatched +=
@@ -158,7 +159,7 @@ RchClientHandler::performFlip(ActivityThread &thread, const LaunchArgs &args)
                "flip target is not a shadow instance");
     RCH_ASSERT(outgoing, "flip source instance missing");
     ++stats_.flips;
-    RCH_TRACE_SCOPE_ARG("rch.flipSync", incoming->component(), "rch");
+    const trace::TraceScope span("rch.flipSync", incoming->component(), "rch");
     // The flip is a full synchronisation point between the instances:
     // everything the displaced foreground did is ordered before anything
     // the incoming instance does from here on.
@@ -224,7 +225,7 @@ RchClientHandler::doGcForShadowIfNeeded(ActivityThread &thread)
     auto shadow = thread.shadowActivity();
     if (!shadow)
         return false;
-    RCH_TRACE_SCOPE_ARG("rch.gcCheck", shadow->component(), "rch");
+    const trace::TraceScope span("rch.gcCheck", shadow->component(), "rch");
     const SimTime now = thread.scheduler().now();
     const GcDecision decision =
         gc_policy_.decide(now, shadow->shadowEnteredAt());

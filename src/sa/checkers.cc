@@ -76,7 +76,7 @@ checkDataLossFor(const AppModel &model, const FlowSolution &flow,
         Finding finding;
         finding.checker = "data_loss";
         finding.handling = model.handling;
-        finding.location = location.name;
+        finding.location = location.traits.location;
         if (location.critical) {
             finding.severity = Severity::Error;
             finding.dynamically_checkable = true;
@@ -136,7 +136,7 @@ std::vector<Finding>
 checkConfigDecl(const CheckInput &input)
 {
     std::vector<Finding> findings;
-    const apps::AppSpec &spec = input.stock->spec;
+    const apps::AppSpec &spec = *input.spec;
 
     const bool predicted_issue_stock =
         anyCriticalLoss(*input.stock, *input.stock_flow) ||
@@ -220,7 +220,7 @@ checkRchEligibility(const CheckInput &input)
         if (location.critical && input.rch_flow->mayLose(observed, i)) {
             if (!residual.empty())
                 residual += ", ";
-            residual += location.name;
+            residual += location.traits.location;
         }
     }
     if (residual.empty()) {

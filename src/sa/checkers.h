@@ -58,6 +58,8 @@ struct Finding
 /** Everything a checker may look at. */
 struct CheckInput
 {
+    /** The spec both models were compiled from. */
+    const apps::AppSpec *spec = nullptr;
     const AppModel *stock = nullptr;
     const AppModel *rch = nullptr;
     const FlowSolution *stock_flow = nullptr;

@@ -55,7 +55,7 @@ FlowSolution::describe(const AppModel &model) const
         out += ":";
         for (std::size_t i = 0; i < model.locations.size(); ++i) {
             out += " ";
-            out += model.locations[i].name;
+            out += model.locations[i].traits.location;
             out += "=";
             out += stateFactName(at(node, i));
         }

@@ -21,7 +21,7 @@ maskToString(const AppModel &model, LocationMask mask)
             continue;
         if (!out.empty())
             out += ", ";
-        out += model.locations[i].name;
+        out += model.locations[i].traits.location;
     }
     if (mask & kViewsBit) {
         if (!out.empty())

@@ -67,9 +67,9 @@ AppModel::reachable(LcNode node) const
 }
 
 std::string
-AppModel::describe() const
+AppModel::describe(std::string_view app) const
 {
-    std::string out = spec.name;
+    std::string out(app);
     out += " [";
     out += handlingModelName(handling);
     out += in_place ? ", in-place]\n" : "]\n";
@@ -88,7 +88,7 @@ AppModel::describe() const
     }
     for (const StateLocation &location : locations) {
         out += "  loc ";
-        out += location.name;
+        out += location.traits.location;
         out += location.critical ? " [critical]\n" : "\n";
     }
     if (async.has_task) {
@@ -181,13 +181,11 @@ addRchPath(AppModel &model)
 }
 
 void
-addLocations(AppModel &model)
+addLocations(AppModel &model, const apps::AppSpec &spec)
 {
-    const apps::AppSpec &spec = model.spec;
     if (spec.critical != apps::CriticalState::None) {
         StateLocation location;
         location.traits = apps::criticalStateTraits(spec.critical);
-        location.name = location.traits.location;
         location.critical = true;
         location.covered_by_on_save =
             spec.implements_on_save &&
@@ -203,26 +201,24 @@ addLocations(AppModel &model)
         StateLocation edit;
         edit.traits =
             apps::criticalStateTraits(apps::CriticalState::EditTextWithId);
-        edit.name = edit.traits.location;
         model.locations.push_back(edit);
     }
     if (spec.n_image_views > 0 &&
         spec.async.trigger != apps::AsyncTrigger::Never) {
         StateLocation image;
         image.traits = {true, true, false, true, "ImageView#img.drawable"};
-        image.name = image.traits.location;
         model.locations.push_back(image);
     }
 }
 
 void
-addAsyncModel(AppModel &model)
+addAsyncModel(AppModel &model, const apps::AppSpec &spec)
 {
-    const apps::AsyncSpec &async = model.spec.async;
+    const apps::AsyncSpec &async = spec.async;
     if (async.trigger == apps::AsyncTrigger::Never)
         return;
     model.async.has_task = true;
-    model.async.capture = model.spec.runtimedroid_patched
+    model.async.capture = spec.runtimedroid_patched
                               ? AsyncCapture::ViewId
                               : AsyncCapture::RawViewRef;
     model.async.cancels_on_stop = async.cancels_on_stop;
@@ -239,7 +235,6 @@ AppModel
 compile(const apps::AppSpec &spec, HandlingModel handling)
 {
     AppModel model;
-    model.spec = spec;
     model.handling = handling;
     // The installer declares android:configChanges for patched apps
     // (the patch depends on it), so either flag suppresses the restart.
@@ -257,8 +252,8 @@ compile(const apps::AppSpec &spec, HandlingModel handling)
     else
         addRchPath(model);
 
-    addLocations(model);
-    addAsyncModel(model);
+    addLocations(model, spec);
+    addAsyncModel(model, spec);
     return model;
 }
 

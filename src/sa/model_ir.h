@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/app_spec.h"
@@ -116,8 +117,7 @@ struct LcEdge
 /** One modelled piece of app state the dataflow tracks. */
 struct StateLocation
 {
-    /** Display name, e.g. "EditText(no id).text". */
-    std::string name;
+    /** traits.location is the display name, e.g. "EditText(no id).text". */
     apps::CriticalStateTraits traits;
     /** This is the spec's table-row critical state. */
     bool critical = false;
@@ -149,7 +149,6 @@ struct AsyncModel
 /** The compiled model of one app under one handling model. */
 struct AppModel
 {
-    apps::AppSpec spec;
     HandlingModel handling = HandlingModel::Stock;
     /** Manifest keeps the framework from restarting the activity. */
     bool in_place = false;
@@ -166,8 +165,11 @@ struct AppModel
     /** True when some edge reaches `node`. */
     bool reachable(LcNode node) const;
 
-    /** Multi-line debug dump of the CFG, locations and async summary. */
-    std::string describe() const;
+    /**
+     * Multi-line debug dump of the CFG, locations and async summary,
+     * headed by `app` (the spec's name).
+     */
+    std::string describe(std::string_view app) const;
 };
 
 /** Lower one spec into its model under the given handling. */

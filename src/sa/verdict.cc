@@ -112,6 +112,7 @@ analyzeApp(const apps::AppSpec &spec, PhaseTimes *times)
     clock.lap(&PhaseTimes::dataflow_ns);
 
     CheckInput input;
+    input.spec = &spec;
     input.stock = &stock_model;
     input.rch = &rch_model;
     input.stock_flow = &stock_flow;

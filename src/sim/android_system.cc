@@ -100,7 +100,6 @@ AndroidSystem::AndroidSystem(SystemOptions options)
         if (analysis_guard_->installed())
             analysis_guard_->analyzer().sink().setTelemetrySource(&scheduler_);
     }
-#if RCHDROID_TRACING
     // One trace "process" per system: sequential systems in a binary
     // restart sim time at zero, and separate pids keep every lane's
     // timestamps monotonic. The clock is cost-aware — inside a Looper
@@ -116,7 +115,6 @@ AndroidSystem::AndroidSystem(SystemOptions options)
             return scheduler_.now();
         });
     }
-#endif
     atms_ = std::make_unique<Atms>(scheduler_, options_.device.atms,
                                    options_.device.binder_latency);
     atms_->setMode(options_.mode);
@@ -125,12 +123,10 @@ AndroidSystem::AndroidSystem(SystemOptions options)
 
 AndroidSystem::~AndroidSystem()
 {
-#if RCHDROID_TRACING
     // The installed clock closure reads this system's scheduler; it must
     // not outlive us.
     if (trace::Tracer *tracer = trace::Tracer::current())
         tracer->clearClock();
-#endif
 }
 
 void

@@ -14,14 +14,12 @@ TraceRecorder::record(const TelemetryEvent &event)
 {
     ++counts_[static_cast<std::size_t>(event.kind)];
 
-#if RCHDROID_TRACING
     trace::Tracer *tracer = trace::Tracer::current();
     // Instants use the cost-aware clock so they sit inside whatever
     // span is currently open on the lane; the async episode endpoints
     // below use the event's semantic time instead.
     if (tracer)
         tracer->instant(event.kindName(), event.detail);
-#endif
 
     if (event.kind == kinds::kAtmsConfigChange) {
         if (!episodes_.empty() && !episodes_.back().end &&
@@ -31,18 +29,14 @@ TraceRecorder::record(const TelemetryEvent &event)
             // eventual resume event (the mis-pairing bug).
             episodes_.back().aborted = true;
             metrics::add(metrics::Counter::kEpisodesAborted);
-#if RCHDROID_TRACING
             if (tracer)
                 tracer->asyncEnd("episode", episodes_.size() - 1, event.time,
                                  "aborted");
-#endif
         }
         episodes_.push_back(HandlingEpisode{event.time, std::nullopt, false});
-#if RCHDROID_TRACING
         if (tracer)
             tracer->asyncBegin("episode", episodes_.size() - 1, "rch.episode",
                                event.time, event.detail);
-#endif
     } else if (event.kind == kinds::kAtmsActivityResumed) {
         if (!episodes_.empty() && !episodes_.back().end &&
             !episodes_.back().aborted) {
@@ -51,10 +45,8 @@ TraceRecorder::record(const TelemetryEvent &event)
             metrics::add(metrics::Counter::kEpisodesCompleted);
             metrics::observe(metrics::Histogram::kHandlingMs,
                              episode.durationMs());
-#if RCHDROID_TRACING
             if (tracer)
                 tracer->asyncEnd("episode", episodes_.size() - 1, event.time);
-#endif
         }
     }
     events_.push_back(event);

@@ -107,8 +107,6 @@ TEST(CausalSlab, MessageQueueRecyclingNeverLeaksCausalId)
     EXPECT_GT(popped, 100u);
 }
 
-#if RCHDROID_TRACING
-
 TEST(CausalSlab, SchedulerSlotRecyclingNeverLeaksPendingCausal)
 {
     std::mt19937 rng(0xca05a1u);
@@ -250,8 +248,6 @@ TEST(CausalSlab, FlowEdgesBindEachPostToItsOwnDispatch)
     EXPECT_EQ(producer_name.size(), consumer_count.size());
     EXPECT_GT(consumer_count.size(), 50u);
 }
-
-#endif // RCHDROID_TRACING
 
 } // namespace
 } // namespace rchdroid

@@ -144,16 +144,12 @@ TEST(MetricsRegistry, ScopedInstallAndFreeHelpers)
             add(Counter::kRelaunches);
             set(Gauge::kHeapBytes, 64.0);
             addLabeled(Counter::kViewsMigrated, "ImageView");
-#if RCHDROID_TRACING
             EXPECT_EQ(inner.counter(Counter::kRelaunches), 1u);
-#endif
         }
         EXPECT_EQ(MetricsRegistry::current(), &outer);
     }
     EXPECT_EQ(MetricsRegistry::current(), nullptr);
-#if RCHDROID_TRACING
     EXPECT_EQ(outer.counter(Counter::kRelaunches), 1u);
-#endif
 }
 
 TEST(MetricsNames, AllSlotsNamed)

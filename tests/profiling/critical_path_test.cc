@@ -13,18 +13,12 @@
 #include <string>
 #include <vector>
 
-#include "profiling/critical_path.h"
-#include "profiling/trace_reader.h"
-
-// tracing.h supplies the RCHDROID_TRACING default (1 unless the
-// no-tracing build overrides it), so it must come before the #if.
-#include "platform/tracing.h"
-
-#if RCHDROID_TRACING
 #include "apps/corpus.h"
 #include "platform/metrics.h"
+#include "platform/tracing.h"
+#include "profiling/critical_path.h"
+#include "profiling/trace_reader.h"
 #include "sim/android_system.h"
-#endif
 
 namespace rchdroid::profiling {
 namespace {
@@ -160,8 +154,6 @@ TEST(CriticalPath, AbortedEpisodesAreSkipped)
     EXPECT_EQ(paths[0].end, 14);
 }
 
-#if RCHDROID_TRACING
-
 /** The quickstart rotation workload under a live tracer. */
 std::unique_ptr<sim::AndroidSystem>
 runRotationWorkload()
@@ -250,8 +242,6 @@ TEST(CriticalPath, JsonRoundTripYieldsIdenticalPaths)
         }
     }
 }
-
-#endif // RCHDROID_TRACING
 
 TEST(CriticalPath, DeepNestingIsAParseErrorNotACrash)
 {

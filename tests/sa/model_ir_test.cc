@@ -123,10 +123,12 @@ TEST(ModelIr, DescribeMentionsEveryLocationAndTheHandlingModel)
 {
     apps::AppSpec spec = plainSpec(apps::CriticalState::ListSelection);
     const AppModel model = compile(spec, HandlingModel::RchDroid);
-    const std::string text = model.describe();
+    const std::string text = model.describe(spec.name);
+    EXPECT_EQ(text.rfind(spec.name, 0), 0u) << text;
     EXPECT_NE(text.find("rchdroid"), std::string::npos);
     for (const StateLocation &location : model.locations)
-        EXPECT_NE(text.find(location.name), std::string::npos) << text;
+        EXPECT_NE(text.find(location.traits.location), std::string::npos)
+            << text;
 }
 
 } // namespace

@@ -70,7 +70,6 @@ TEST(Dumpsys, GoldenRotationSnapshot)
     EXPECT_NE(dump.find("rch: runtime_changes=2"), std::string::npos);
     EXPECT_NE(dump.find("views_migrated=4"), std::string::npos);
 
-#if RCHDROID_TRACING
     // The acceptance criterion: non-zero coin-flip and lazy-migration
     // counters in the registry after a steady-state workload.
     EXPECT_EQ(registry.counter(metrics::Counter::kCoinFlipHit), 1u);
@@ -95,10 +94,8 @@ TEST(Dumpsys, GoldenRotationSnapshot)
     // instances are both alive.
     EXPECT_DOUBLE_EQ(registry.gauge(metrics::Gauge::kLiveActivities), 2.0);
     EXPECT_GT(registry.gauge(metrics::Gauge::kHeapBytes), 0.0);
-#endif
 }
 
-#if RCHDROID_TRACING
 TEST(Dumpsys, GoldenEpisodeTableUnderATracer)
 {
     metrics::MetricsRegistry registry;
@@ -159,7 +156,6 @@ TEST(Dumpsys, EpisodeTableWithoutATracerShowsNoDominant)
     EXPECT_EQ(metricsJson(*system, &registry).find("\"profile\""),
               std::string::npos);
 }
-#endif
 
 TEST(Dumpsys, MetricsJsonTwinCarriesTheSameCounters)
 {
@@ -169,11 +165,9 @@ TEST(Dumpsys, MetricsJsonTwinCarriesTheSameCounters)
 
     const std::string json = metricsJson(*system, &registry);
     EXPECT_NE(json.find("\"rchdroid_metrics/1\""), std::string::npos);
-#if RCHDROID_TRACING
     EXPECT_NE(json.find("\"coin_flip_hit\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"views_migrated/ImageView\": 4"),
               std::string::npos);
-#endif
 }
 
 TEST(Dumpsys, WorksWithoutARegistry)

@@ -163,7 +163,7 @@ class RchdroidProfileTest(CliCase):
     def test_control_characters_in_span_names_stay_escaped(self):
         # --json used to copy "\n" and "\u0001" in a label out raw,
         # which no JSON parser accepts. The input is quickstart's pinned
-        # trace, so the case runs in builds without tracing too.
+        # trace.
         with open(QUICKSTART_TRACE) as handle:
             trace = handle.read()
         needle = '"name":"app.performLaunch"'
@@ -242,6 +242,23 @@ class RchdroidShellTest(CliCase):
                                 1, stdin="quit\n")
         self.assertIn(f"failed to write trace to {DEV_FULL}", proc.stderr)
         self.assertNotIn("trace written", proc.stdout)
+
+    def test_trace_out_needs_a_file_name(self):
+        # Used to run the session untraced and exit 0.
+        proc = self.run_checked([RCHDROID_SHELL, "--trace-out="], 2,
+                                stdin="quit\n")
+        self.assertIn("--trace-out needs a file name", proc.stderr)
+        self.assertEqual(proc.stdout, "")
+
+    def test_no_argument_after_the_script(self):
+        # Used to run the script, ignore "extra-arg" and exit 0.
+        with tempfile.TemporaryDirectory() as tmp:
+            script = os.path.join(tmp, "script.txt")
+            with open(script, "w") as handle:
+                handle.write("quit\n")
+            proc = self.run_checked([RCHDROID_SHELL, script, "extra-arg"], 2)
+        self.assertIn("unexpected argument: extra-arg", proc.stderr)
+        self.assertEqual(proc.stdout, "")
 
     def test_launch_needs_an_app_that_is_not_running(self):
         # Both used to die on SIGABRT: "launch of ... did not complete".

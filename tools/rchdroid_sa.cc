@@ -46,7 +46,8 @@ analyzeOne(const std::string &name)
             sa::compile(spec, sa::HandlingModel::Stock);
         const sa::AppModel rch =
             sa::compile(spec, sa::HandlingModel::RchDroid);
-        std::cout << stock.describe() << "\n" << rch.describe() << "\n";
+        std::cout << stock.describe(spec.name) << "\n"
+                  << rch.describe(spec.name) << "\n";
         std::cout << sa::solve(stock).describe(stock) << "\n";
         const sa::AppVerdict verdict = sa::analyzeApp(spec);
         for (const sa::Finding &finding : verdict.findings)

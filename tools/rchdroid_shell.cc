@@ -37,7 +37,9 @@
  *   quit                         exit
  *
  * With --trace-out=FILE the whole session is recorded as a Chrome
- * trace-event JSON (open in Perfetto / chrome://tracing).
+ * trace-event JSON (open in Perfetto / chrome://tracing). An empty FILE
+ * or any argument after the script path exits 2 before the session
+ * starts.
  *
  * A missing, non-numeric or out-of-range argument is a command error:
  * the shell prints an `error:` line naming the command and the bad
@@ -350,11 +352,22 @@ main(int argc, char **argv)
         const std::string arg = argv[i];
         if (arg.rfind("--trace-out=", 0) == 0) {
             trace_path = arg.substr(std::string("--trace-out=").size());
+            if (trace_path.empty()) {
+                std::fprintf(stderr, "--trace-out needs a file name\n");
+                return 2;
+            }
         } else {
             argv[kept++] = argv[i];
         }
     }
     argc = kept;
+    if (argc > 2) {
+        std::fprintf(stderr,
+                     "unexpected argument: %s\nusage: rchdroid_shell "
+                     "[--check] [--trace-out=FILE] [script.txt]\n",
+                     argv[2]);
+        return 2;
+    }
 
     rchdroid::metrics::MetricsRegistry registry;
     rchdroid::metrics::ScopedMetricsRegistry registry_guard(&registry);
