@@ -143,8 +143,7 @@ ActivityStarter::setTaskFromIntentActivity(TaskRecord &task,
         }
         ++stats_.coin_flips;
         metrics::add(metrics::Counter::kCoinFlipHit);
-        atms_.emitEvent(kinds::kAtmsCoinFlip, intent.component,
-                        static_cast<double>(*shadow_token));
+        atms_.emitEvent(kinds::kAtmsCoinFlip, intent.component);
 
         LaunchArgs args;
         args.token = *shadow_token;
@@ -174,8 +173,7 @@ ActivityStarter::setTaskFromIntentActivity(TaskRecord &task,
     }
     ++stats_.sunny_creates;
     metrics::add(metrics::Counter::kCoinFlipMiss);
-    atms_.emitEvent(kinds::kAtmsSunnyCreate, intent.component,
-                    static_cast<double>(record.token()));
+    atms_.emitEvent(kinds::kAtmsSunnyCreate, intent.component);
 
     LaunchArgs args;
     args.token = record.token();

@@ -50,14 +50,12 @@ Atms::componentInfo(const std::string &component) const
 }
 
 void
-Atms::emitEvent(TelemetryKind kind, const std::string &detail,
-                double value)
+Atms::emitEvent(TelemetryKind kind, std::string_view detail)
 {
     TelemetryEvent event;
     event.time = scheduler_.now();
     event.kind = kind;
     event.detail = detail;
-    event.value = value;
     obs::notify(&obs::Observer::onTelemetry, scheduler_, event);
 }
 
@@ -182,8 +180,7 @@ Atms::handleConfigChange(const Configuration &config)
             });
         }
         metrics::add(metrics::Counter::kRelaunches);
-        emitEvent(kinds::kAtmsRelaunch, top->component(),
-                  static_cast<double>(token));
+        emitEvent(kinds::kAtmsRelaunch, top->component());
         return;
     }
 
@@ -199,8 +196,7 @@ Atms::handleConfigChange(const Configuration &config)
             client->scheduleConfigurationChanged(token, config);
         });
     }
-    emitEvent(kinds::kAtmsShadowHandling, top->component(),
-              static_cast<double>(token));
+    emitEvent(kinds::kAtmsShadowHandling, top->component());
 }
 
 void
@@ -213,8 +209,7 @@ Atms::pressBack()
                 return;
             const ActivityToken token = top->token();
             ActivityClient *client = clientFor(top->process());
-            emitEvent(kinds::kAtmsBack, top->component(),
-                      static_cast<double>(token));
+            emitEvent(kinds::kAtmsBack, top->component());
             if (client) {
                 callClient(top->process(), [client, token] {
                     client->scheduleDestroyActivity(token);
@@ -238,8 +233,7 @@ Atms::activityResumed(ActivityToken token)
         [this, token] {
             if (ActivityRecord *record = mutableRecordFor(token)) {
                 record->setState(RecordState::Resumed);
-                emitEvent(kinds::kAtmsActivityResumed, record->component(),
-                          static_cast<double>(token));
+                emitEvent(kinds::kAtmsActivityResumed, record->component());
             }
         },
         0, costs_.transaction_handle, "activityResumed");
@@ -264,8 +258,7 @@ Atms::activityDestroyed(ActivityToken token)
             if (ActivityRecord *record = mutableRecordFor(token)) {
                 if (TaskRecord *task = stack_.taskContaining(token))
                     task->remove(token);
-                emitEvent(kinds::kAtmsActivityDestroyed, record->component(),
-                          static_cast<double>(token));
+                emitEvent(kinds::kAtmsActivityDestroyed, record->component());
                 records_.erase(token);
                 // The record revealed beneath (back navigation) resumes.
                 ActivityRecord *revealed =
@@ -294,8 +287,7 @@ Atms::shadowActivityReclaimed(ActivityToken token)
                 return;
             if (TaskRecord *task = stack_.taskContaining(token))
                 task->remove(token);
-            emitEvent(kinds::kAtmsShadowReclaimed, record->component(),
-                      static_cast<double>(token));
+            emitEvent(kinds::kAtmsShadowReclaimed, record->component());
             records_.erase(token);
         },
         0, costs_.transaction_handle, "shadowActivityReclaimed");

@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "ams/activity_record.h"
 #include "ams/activity_stack.h"
@@ -134,8 +135,7 @@ class Atms final : public ActivityManager
     ActivityRecord &createRecord(const std::string &component,
                                  const std::string &process);
     ActivityRecord *mutableRecordFor(ActivityToken token);
-    void emitEvent(TelemetryKind kind, const std::string &detail,
-                   double value = 0.0);
+    void emitEvent(TelemetryKind kind, std::string_view detail);
     ComponentInfo componentInfo(const std::string &component) const;
 
     SimScheduler &scheduler_;

@@ -39,7 +39,7 @@ Activity::chargeCpu(SimDuration cost)
 }
 
 void
-Activity::emitEvent(TelemetryKind kind, double value)
+Activity::emitEvent(TelemetryKind kind)
 {
     if (!context_.ui_looper)
         return;
@@ -47,7 +47,6 @@ Activity::emitEvent(TelemetryKind kind, double value)
     event.time = context_.ui_looper->now();
     event.kind = kind;
     event.detail = component_;
-    event.value = value;
     obs::notify(&obs::Observer::onTelemetry, context_.ui_looper->scheduler(),
                 event);
 }

@@ -259,7 +259,7 @@ class Activity : public ViewTreeHost
      * Emit a telemetry event tagged with this component, from the UI
      * looper's scheduler; dropped without a UI looper.
      */
-    void emitEvent(TelemetryKind kind, double value = 0.0);
+    void emitEvent(TelemetryKind kind);
 
   private:
     void transitionTo(LifecycleState next);

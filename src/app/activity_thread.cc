@@ -49,14 +49,12 @@ ActivityThread::registerActivityFactory(const std::string &component,
 }
 
 void
-ActivityThread::emitEvent(TelemetryKind kind, const std::string &detail,
-                          double value)
+ActivityThread::emitEvent(TelemetryKind kind, std::string_view detail)
 {
     TelemetryEvent event;
     event.time = scheduler_.now();
     event.kind = kind;
     event.detail = detail;
-    event.value = value;
     obs::notify(&obs::Observer::onTelemetry, scheduler_, event);
 }
 
@@ -141,8 +139,7 @@ ActivityThread::notifyResumedAtCostEnd(ActivityToken token)
     // the in-flight dispatch's accumulated cost window closes — i.e. when
     // the launch work actually finishes on the simulated thread.
     ui_looper_.post([this, token] {
-        emitEvent(kinds::kAppResumed, params_.process_name,
-                  static_cast<double>(token));
+        emitEvent(kinds::kAppResumed, params_.process_name);
         if (am_)
             am_->activityResumed(token);
     },

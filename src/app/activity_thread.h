@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "app/activity.h"
@@ -200,8 +201,7 @@ class ActivityThread final : public ActivityClient
     /** @} */
 
   private:
-    void emitEvent(TelemetryKind kind, const std::string &detail,
-                   double value = 0.0);
+    void emitEvent(TelemetryKind kind, std::string_view detail);
     void handleCrash(const UiException &e);
     std::shared_ptr<Activity> createInstance(const std::string &component,
                                              ActivityToken token);

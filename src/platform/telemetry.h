@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "platform/time.h"
 
@@ -70,15 +71,17 @@ const std::string &telemetryKindName(TelemetryKind kind);
 /** gtest/iostream support: prints the dotted name. */
 std::ostream &operator<<(std::ostream &os, TelemetryKind kind);
 
-/** One timestamped occurrence. */
+/**
+ * One timestamped occurrence. Observers see it only during the
+ * synchronous obs::notify that delivers it, so `detail` views the
+ * emitter's string and a subscriber that keeps it must copy.
+ */
 struct TelemetryEvent
 {
     SimTime time = 0;
     TelemetryKind kind = TelemetryKind::kNone;
     /** Free-form detail, e.g. the component name or exception kind. */
-    std::string detail;
-    /** Optional numeric payload (bytes, counts). */
-    double value = 0.0;
+    std::string_view detail;
 
     /** Dotted name of the kind. */
     const std::string &kindName() const { return telemetryKindName(kind); }

@@ -27,8 +27,6 @@ class ImageView : public View
     explicit ImageView(std::string id);
 
     const char *typeName() const override { return "ImageView"; }
-    MigrationClass migrationClass() const override
-    { return MigrationClass::Image; }
 
     /** The decoded drawable currently shown, if any. */
     const std::optional<DrawableValue> &drawable() const { return drawable_; }

@@ -2,7 +2,10 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -10,7 +13,6 @@
 
 #include "platform/logging.h"
 #include "platform/strings.h"
-#include "view/extra_widgets.h"
 #include "view/image_view.h"
 #include "view/list_view.h"
 #include "view/progress_bar.h"
@@ -22,7 +24,7 @@ namespace rchdroid {
 
 namespace {
 
-/** The widget an element builds; Custom defers to a registered factory. */
+/** The widget an element builds. */
 enum class ElementKind : std::uint8_t {
     View,
     FrameLayout,
@@ -32,17 +34,10 @@ enum class ElementKind : std::uint8_t {
     Button,
     EditText,
     CheckBox,
-    Switch,
     ImageView,
     ProgressBar,
-    SeekBar,
-    RatingBar,
     ListView,
-    GridView,
-    AbsListView,
-    Spinner,
     VideoView,
-    Custom,
 };
 
 struct BuiltinElement
@@ -63,24 +58,18 @@ const BuiltinElement kBuiltinElements[] = {
     {"CheckBox", ElementKind::CheckBox},
     {"ImageView", ElementKind::ImageView},
     {"ProgressBar", ElementKind::ProgressBar},
-    {"SeekBar", ElementKind::SeekBar},
     {"ListView", ElementKind::ListView},
-    {"GridView", ElementKind::GridView},
-    {"AbsListView", ElementKind::AbsListView},
     {"VideoView", ElementKind::VideoView},
-    {"Spinner", ElementKind::Spinner},
-    {"Switch", ElementKind::Switch},
-    {"RatingBar", ElementKind::RatingBar},
 };
 
-ElementKind
+std::optional<ElementKind>
 elementKind(const std::string &element)
 {
     for (const BuiltinElement &builtin : kBuiltinElements) {
         if (element == builtin.name)
             return builtin.kind;
     }
-    return ElementKind::Custom;
+    return std::nullopt;
 }
 
 std::string
@@ -123,7 +112,7 @@ struct AttrValue
 struct InflatePlan
 {
     ElementKind kind = ElementKind::View;
-    /** The compiled node: its name for errors, its attrs for factories. */
+    /** The compiled node, whose name errors report. */
     const LayoutNode *source = nullptr;
     std::string id;
     /** Text family. */
@@ -133,15 +122,12 @@ struct InflatePlan
     bool checked = false;
     /** ImageView. */
     AttrValue src;
-    /** List family; literal items are split at '|' once. */
+    /** ListView; literal items are split at '|' once. */
     AttrValue items;
     std::vector<std::string> literal_items;
     bool horizontal = false;
     int max = 100;
     int progress = 0;
-    int stars = 5;
-    int rating = 0;
-    int columns = 2;
     std::string video;
     std::vector<InflatePlan> children;
 };
@@ -175,12 +161,18 @@ compileAttr(const LayoutNode &node, const std::string &key, ResourceType type,
     return attr;
 }
 
-/** Compile `node` and its subtree, reading only what its kind uses. */
-InflatePlan
+/**
+ * Compile `node` and its subtree, reading only what its kind uses. An
+ * element the inflater does not know fails the compile.
+ */
+Result<InflatePlan>
 compile(const LayoutNode &node, const ResourceTable &table)
 {
+    const std::optional<ElementKind> kind = elementKind(node.element);
+    if (!kind)
+        return Status::notFound("unknown layout element " + node.element);
     InflatePlan plan;
-    plan.kind = elementKind(node.element);
+    plan.kind = *kind;
     plan.source = &node;
     plan.id = attrOr(node.attrs, "id", "");
     switch (plan.kind) {
@@ -192,32 +184,20 @@ compile(const LayoutNode &node, const ResourceTable &table)
       case ElementKind::Button:
       case ElementKind::EditText:
       case ElementKind::CheckBox:
-      case ElementKind::Switch:
         plan.text = compileAttr(node, "text", ResourceType::String, table);
         if (plan.kind == ElementKind::EditText)
             plan.hint = compileAttr(node, "hint", ResourceType::String, table);
-        plan.checked = (plan.kind == ElementKind::CheckBox ||
-                        plan.kind == ElementKind::Switch) &&
+        plan.checked = plan.kind == ElementKind::CheckBox &&
                        attrOr(node.attrs, "checked", "false") == "true";
         break;
       case ElementKind::ImageView:
         plan.src = compileAttr(node, "src", ResourceType::Drawable, table);
         break;
       case ElementKind::ProgressBar:
-      case ElementKind::SeekBar:
         plan.max = attrInt(node.attrs, "max", 100);
         plan.progress = attrInt(node.attrs, "progress", 0);
         break;
-      case ElementKind::RatingBar:
-        plan.stars = attrInt(node.attrs, "stars", 5);
-        plan.rating = attrInt(node.attrs, "rating", 0);
-        break;
-      case ElementKind::GridView:
-        plan.columns = attrInt(node.attrs, "columns", 2);
-        [[fallthrough]];
       case ElementKind::ListView:
-      case ElementKind::AbsListView:
-      case ElementKind::Spinner:
         plan.items = compileAttr(node, "items", ResourceType::String, table);
         if (plan.items.source == AttrValue::Source::Literal)
             plan.literal_items = splitString(plan.items.text, '|');
@@ -228,12 +208,15 @@ compile(const LayoutNode &node, const ResourceTable &table)
       case ElementKind::View:
       case ElementKind::FrameLayout:
       case ElementKind::ScrollView:
-      case ElementKind::Custom:
         break;
     }
     plan.children.reserve(node.children.size());
-    for (const LayoutNode &child : node.children)
-        plan.children.push_back(compile(child, table));
+    for (const LayoutNode &child : node.children) {
+        auto child_plan = compile(child, table);
+        if (!child_plan)
+            return child_plan.status();
+        plan.children.push_back(std::move(child_plan).value());
+    }
     return plan;
 }
 
@@ -300,12 +283,12 @@ makeTextWidget(const InflatePlan &plan, ResourceManager &resources,
     return asView(std::move(widget));
 }
 
-/** Build a list-family widget with its items. */
+/** Build a ListView with its items. */
 Result<std::unique_ptr<View>>
-withItems(std::unique_ptr<AbsListView> list, const InflatePlan &plan,
-          ResourceManager &resources, const Configuration &config,
-          SimDuration &cost)
+makeList(const InflatePlan &plan, ResourceManager &resources,
+         const Configuration &config, SimDuration &cost)
 {
+    auto list = std::make_unique<ListView>(plan.id);
     if (plan.items.source == AttrValue::Source::Literal) {
         list->setItems(plan.literal_items);
     } else if (plan.items.source != AttrValue::Source::Absent) {
@@ -317,8 +300,7 @@ withItems(std::unique_ptr<AbsListView> list, const InflatePlan &plan,
     return asView(std::move(list));
 }
 
-using PlanMap =
-    std::unordered_map<const LayoutValue *, std::shared_ptr<const InflatePlan>>;
+using PlanMap = std::unordered_map<const LayoutValue *, InflatePlan>;
 
 /**
  * The compiled plans of one table, keyed by the table's variant and
@@ -351,20 +333,6 @@ LayoutInflater::LayoutInflater(ResourceManager &resources,
 {
 }
 
-Status
-LayoutInflater::registerFactory(const std::string &element,
-                                ViewFactory factory)
-{
-    if (elementKind(element) != ElementKind::Custom) {
-        return Status::invalidArgument("cannot override builtin element " +
-                                       element);
-    }
-    if (!factory)
-        return Status::invalidArgument("null factory for " + element);
-    custom_factories_[element] = std::move(factory);
-    return Status::ok();
-}
-
 Result<Loaded<std::unique_ptr<View>>>
 LayoutInflater::inflate(ResourceId layout_id, const Configuration &config)
 {
@@ -372,32 +340,18 @@ LayoutInflater::inflate(ResourceId layout_id, const Configuration &config)
     if (!layout)
         return layout.status();
     const LayoutValue *variant = layout.value().value;
-    auto &cached = plansFor(resources_.sharedTable())[variant];
-    if (!cached) {
-        cached = std::make_shared<const InflatePlan>(
-            compile(variant->root, resources_.table()));
+    PlanMap &plans = plansFor(resources_.sharedTable());
+    auto cached = plans.find(variant);
+    if (cached == plans.end()) {
+        auto plan = compile(variant->root, resources_.table());
+        if (!plan)
+            return plan.status();
+        cached = plans.emplace(variant, std::move(plan).value()).first;
     }
-    // Own the plan for the run: a custom factory may inflate another
-    // table's layout on this thread, which replaces the cache.
-    const std::shared_ptr<const InflatePlan> plan = cached;
-    auto inflated = run(*plan, config);
-    if (!inflated)
-        return inflated.status();
-    inflated.value().cost += layout.value().cost;
-    return inflated;
-}
-
-Result<Loaded<std::unique_ptr<View>>>
-LayoutInflater::inflateNode(const LayoutNode &node, const Configuration &config)
-{
-    return run(compile(node, resources_.table()), config);
-}
-
-Result<Loaded<std::unique_ptr<View>>>
-LayoutInflater::run(const InflatePlan &plan, const Configuration &config)
-{
-    SimDuration cost = 0;
-    auto view = build(plan, config, cost);
+    // Building views inflates nothing, so the slot keeps this plan
+    // until the walk ends.
+    SimDuration cost = layout.value().cost;
+    auto view = build(cached->second, config, cost);
     if (!view)
         return view.status();
     return Loaded<std::unique_ptr<View>>{std::move(view).value(), cost};
@@ -430,17 +384,6 @@ LayoutInflater::makeView(const InflatePlan &plan, const Configuration &config,
                          SimDuration &cost)
 {
     switch (plan.kind) {
-      case ElementKind::Custom: {
-        const std::string &element = plan.source->element;
-        auto it = custom_factories_.find(element);
-        if (it == custom_factories_.end())
-            return Status::notFound("unknown layout element " + element);
-        std::unique_ptr<View> view = it->second(plan.id, plan.source->attrs);
-        if (!view)
-            return Status::internal("factory for " + element +
-                                    " returned null");
-        return view;
-      }
       case ElementKind::View:
         return std::make_unique<View>(plan.id);
       case ElementKind::FrameLayout:
@@ -459,8 +402,6 @@ LayoutInflater::makeView(const InflatePlan &plan, const Configuration &config,
         return makeTextWidget<EditText>(plan, resources_, config, cost);
       case ElementKind::CheckBox:
         return makeTextWidget<CheckBox>(plan, resources_, config, cost);
-      case ElementKind::Switch:
-        return makeTextWidget<Switch>(plan, resources_, config, cost);
       case ElementKind::ImageView: {
         auto image = std::make_unique<ImageView>(plan.id);
         if (plan.src.source == AttrValue::Source::Unresolved)
@@ -474,34 +415,14 @@ LayoutInflater::makeView(const InflatePlan &plan, const Configuration &config,
         }
         return asView(std::move(image));
       }
-      case ElementKind::ProgressBar:
-      case ElementKind::SeekBar: {
-        std::unique_ptr<ProgressBar> bar;
-        if (plan.kind == ElementKind::ProgressBar)
-            bar = std::make_unique<ProgressBar>(plan.id);
-        else
-            bar = std::make_unique<SeekBar>(plan.id);
+      case ElementKind::ProgressBar: {
+        auto bar = std::make_unique<ProgressBar>(plan.id);
         bar->setMax(plan.max);
         bar->setProgress(plan.progress);
         return asView(std::move(bar));
       }
-      case ElementKind::RatingBar: {
-        auto rating = std::make_unique<RatingBar>(plan.id, plan.stars);
-        rating->setRating(plan.rating);
-        return asView(std::move(rating));
-      }
       case ElementKind::ListView:
-        return withItems(std::make_unique<ListView>(plan.id), plan,
-                         resources_, config, cost);
-      case ElementKind::GridView:
-        return withItems(std::make_unique<GridView>(plan.id, plan.columns),
-                         plan, resources_, config, cost);
-      case ElementKind::AbsListView:
-        return withItems(std::make_unique<AbsListView>(plan.id), plan,
-                         resources_, config, cost);
-      case ElementKind::Spinner:
-        return withItems(std::make_unique<Spinner>(plan.id), plan,
-                         resources_, config, cost);
+        return makeList(plan, resources_, config, cost);
       case ElementKind::VideoView: {
         auto video = std::make_unique<VideoView>(plan.id);
         if (!plan.video.empty())

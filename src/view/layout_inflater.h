@@ -20,24 +20,12 @@
 #ifndef RCHDROID_VIEW_LAYOUT_INFLATER_H
 #define RCHDROID_VIEW_LAYOUT_INFLATER_H
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <string>
 
 #include "resources/resource_manager.h"
 #include "view/view.h"
 
 namespace rchdroid {
-
-/**
- * Factory signature for custom (user-defined) widgets: receives the view
- * id and the node attributes, returns the constructed view. Registered
- * factories model apps whose views "can also be dynamically generated by
- * code" (paper §2.2) — RCHDroid still migrates them by basic type.
- */
-using ViewFactory = std::function<std::unique_ptr<View>(
-    const std::string &id, const std::map<std::string, std::string> &attrs)>;
 
 /** A layout tree compiled for inflation (defined in layout_inflater.cc). */
 struct InflatePlan;
@@ -57,13 +45,6 @@ class LayoutInflater
                    SimDuration per_node_inflate_cost);
 
     /**
-     * Register a custom element name. Registration replaces any previous
-     * factory for the name; built-in names cannot be overridden. Takes
-     * effect on the next inflate, also of layouts inflated before.
-     */
-    Status registerFactory(const std::string &element, ViewFactory factory);
-
-    /**
      * Inflate a layout resource under `config`.
      * @return The constructed tree plus the total virtual CPU cost
      *         (parse + construct + resource loads).
@@ -71,18 +52,7 @@ class LayoutInflater
     Result<Loaded<std::unique_ptr<View>>> inflate(ResourceId layout_id,
                                                   const Configuration &config);
 
-    /**
-     * Inflate an already-resolved layout tree (tests, dynamic UIs)
-     * through a one-off plan; nothing is cached.
-     */
-    Result<Loaded<std::unique_ptr<View>>>
-    inflateNode(const LayoutNode &node, const Configuration &config);
-
   private:
-    /** Build the plan's whole tree and total its cost. */
-    Result<Loaded<std::unique_ptr<View>>> run(const InflatePlan &plan,
-                                              const Configuration &config);
-
     /** Build the plan's element and its subtree; adds to `cost`. */
     Result<std::unique_ptr<View>> build(const InflatePlan &plan,
                                         const Configuration &config,
@@ -95,7 +65,6 @@ class LayoutInflater
 
     ResourceManager &resources_;
     SimDuration per_node_inflate_cost_;
-    std::map<std::string, ViewFactory> custom_factories_;
 };
 
 } // namespace rchdroid

@@ -127,25 +127,4 @@ ListView::ListView(std::string id) : AbsListView(std::move(id))
 {
 }
 
-GridView::GridView(std::string id, int columns)
-    : AbsListView(std::move(id)), columns_(columns)
-{
-    RCH_ASSERT(columns > 0, "grid needs at least one column");
-}
-
-void
-GridView::onSaveState(Bundle &state, bool full) const
-{
-    AbsListView::onSaveState(state, full);
-    if (full)
-        state.putInt("columns", columns_);
-}
-
-void
-GridView::onRestoreState(const Bundle &state)
-{
-    AbsListView::onRestoreState(state);
-    columns_ = static_cast<int>(state.getInt("columns", columns_));
-}
-
 } // namespace rchdroid

@@ -1,7 +1,7 @@
 /**
  * @file
- * The AbsListView family: AbsListView, ListView, GridView, mirroring
- * android.widget.AbsListView and subclasses.
+ * The AbsListView family: AbsListView and ListView, mirroring
+ * android.widget.AbsListView and ListView.
  *
  * Table 1 migration policy: positionSelector + setItemChecked — the
  * selector position and the checked item are read from the shadow view
@@ -32,8 +32,6 @@ class AbsListView : public View
     explicit AbsListView(std::string id);
 
     const char *typeName() const override { return "AbsListView"; }
-    MigrationClass migrationClass() const override
-    { return MigrationClass::List; }
 
     /** Replace the adapter contents; resets selection if out of range. */
     void setItems(std::vector<std::string> items);
@@ -81,25 +79,6 @@ class ListView : public AbsListView
   public:
     explicit ListView(std::string id);
     const char *typeName() const override { return "ListView"; }
-};
-
-/**
- * A grid of items, mirroring android.widget.GridView.
- */
-class GridView : public AbsListView
-{
-  public:
-    GridView(std::string id, int columns);
-
-    const char *typeName() const override { return "GridView"; }
-    int columns() const { return columns_; }
-
-  protected:
-    void onSaveState(Bundle &state, bool full) const override;
-    void onRestoreState(const Bundle &state) override;
-
-  private:
-    int columns_;
 };
 
 } // namespace rchdroid

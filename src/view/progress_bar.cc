@@ -46,8 +46,7 @@ ProgressBar::onSaveState(Bundle &state, bool full) const
 {
     // Plain ProgressBar progress is app-driven transient state that a
     // stock restart loses (Table 3 #9's "percentage set by the user");
-    // the full snapshot keeps it. SeekBar overrides: user-set positions
-    // persist by default, as on Android.
+    // the full snapshot keeps it.
     if (full) {
         state.putInt("progress", progress_);
         state.putInt("max", max_);
@@ -59,19 +58,6 @@ ProgressBar::onRestoreState(const Bundle &state)
 {
     max_ = static_cast<int>(state.getInt("max", max_));
     progress_ = static_cast<int>(state.getInt("progress", progress_));
-}
-
-SeekBar::SeekBar(std::string id) : ProgressBar(std::move(id))
-{
-}
-
-void
-SeekBar::onSaveState(Bundle &state, bool full) const
-{
-    (void)full;
-    // AbsSeekBar persists the user-set position by default.
-    state.putInt("progress", progress());
-    state.putInt("max", max());
 }
 
 } // namespace rchdroid

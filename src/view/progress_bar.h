@@ -1,7 +1,7 @@
 /**
  * @file
- * ProgressBar and SeekBar, mirroring android.widget.ProgressBar /
- * SeekBar. Table 1 migration policy: setProgress.
+ * ProgressBar, mirroring android.widget.ProgressBar. Table 1 migration
+ * policy: setProgress.
  *
  * Reproduces the "percentage set by the user is lost" issue of
  * DiskDiggerPro (Table 3 #9) and the "zoom bar"/"volume bar" losses in
@@ -25,8 +25,6 @@ class ProgressBar : public View
     explicit ProgressBar(std::string id);
 
     const char *typeName() const override { return "ProgressBar"; }
-    MigrationClass migrationClass() const override
-    { return MigrationClass::Progress; }
 
     int progress() const { noteSharedRead(); return progress_; }
     int max() const { return max_; }
@@ -44,23 +42,6 @@ class ProgressBar : public View
   private:
     int progress_ = 0;
     int max_ = 100;
-};
-
-/**
- * A user-draggable ProgressBar.
- */
-class SeekBar : public ProgressBar
-{
-  public:
-    explicit SeekBar(std::string id);
-
-    const char *typeName() const override { return "SeekBar"; }
-
-    /** Simulated user drag to a position. */
-    void dragTo(int progress) { setProgress(progress); }
-
-  protected:
-    void onSaveState(Bundle &state, bool full) const override;
 };
 
 } // namespace rchdroid

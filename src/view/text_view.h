@@ -25,8 +25,6 @@ class TextView : public View
     explicit TextView(std::string id);
 
     const char *typeName() const override { return "TextView"; }
-    MigrationClass migrationClass() const override
-    { return MigrationClass::Text; }
 
     const std::string &text() const { noteSharedRead(); return text_; }
     /** Set the displayed text; invalidates on change. */

@@ -23,8 +23,6 @@ class VideoView : public View
     explicit VideoView(std::string id);
 
     const char *typeName() const override { return "VideoView"; }
-    MigrationClass migrationClass() const override
-    { return MigrationClass::Video; }
 
     const std::string &videoUri() const { return video_uri_; }
     void setVideoUri(std::string uri);

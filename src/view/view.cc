@@ -9,21 +9,6 @@
 
 namespace rchdroid {
 
-const char *
-migrationClassName(MigrationClass cls)
-{
-    switch (cls) {
-      case MigrationClass::Generic: return "Generic";
-      case MigrationClass::Text: return "Text";
-      case MigrationClass::Image: return "Image";
-      case MigrationClass::List: return "List";
-      case MigrationClass::Scroll: return "Scroll";
-      case MigrationClass::Video: return "Video";
-      case MigrationClass::Progress: return "Progress";
-    }
-    return "Unknown";
-}
-
 View::View(std::string id) : id_(std::move(id))
 {
 }

@@ -26,30 +26,6 @@ class View;
 class ViewGroup;
 
 /**
- * The "basic types of views" of Table 1; every widget — including
- * user-defined subclasses — belongs to one class, which selects its
- * migration policy.
- */
-enum class MigrationClass : std::uint8_t {
-    /** Plain container/decoration; nothing beyond base state migrates. */
-    Generic,
-    /** TextView family: migrate via setText. */
-    Text,
-    /** ImageView family: migrate via setDrawable. */
-    Image,
-    /** AbsListView family: migrate selector position + checked item. */
-    List,
-    /** Scrolling containers: migrate scroll offset. */
-    Scroll,
-    /** VideoView: migrate via setVideoURI (+ playback position). */
-    Video,
-    /** ProgressBar family: migrate via setProgress. */
-    Progress,
-};
-
-const char *migrationClassName(MigrationClass cls);
-
-/**
  * Host interface the owning activity implements; plays the role of
  * Android's ViewRootImpl/AttachInfo callbacks. The RCHDroid lazy
  * migrator observes invalidations through onViewInvalidated.
@@ -104,9 +80,6 @@ class View
     const ViewGroup *parent() const { return parent_; }
     /** Widget class name, e.g. "TextView". */
     virtual const char *typeName() const { return "View"; }
-    /** Basic type selecting the Table 1 migration policy. */
-    virtual MigrationClass migrationClass() const
-    { return MigrationClass::Generic; }
     /** @} */
 
     /** @name Attachment and liveness
@@ -179,9 +152,12 @@ class View
     /** @} */
 
     /**
-     * Apply this view's migratable attributes onto `target`, the Table 1
-     * policy for this widget's migration class. `target` must be the
-     * same basic type.
+     * Apply this view's migratable attributes onto `target`: the Table 1
+     * policy of the "basic type of view" this widget derives from (text,
+     * image, list, scroll, video, progress; a plain View migrates only
+     * base state). Overriding it is what puts a widget in a basic type,
+     * so a user-defined subclass migrates as its base class does.
+     * `target` must be the same basic type.
      */
     virtual void applyMigration(View &target) const;
 

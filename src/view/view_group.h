@@ -122,8 +122,6 @@ class ScrollView : public ViewGroup
     explicit ScrollView(std::string id);
 
     const char *typeName() const override { return "ScrollView"; }
-    MigrationClass migrationClass() const override
-    { return MigrationClass::Scroll; }
 
     int scrollY() const { return scroll_y_; }
     void scrollTo(int y);

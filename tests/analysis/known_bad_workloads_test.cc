@@ -9,11 +9,13 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/analyzer.h"
 #include "platform/logging.h"
+#include "platform/tracing.h"
 #include "sim/android_system.h"
 #include "view/text_view.h"
 #include "view/view_group.h"
@@ -232,7 +234,10 @@ TEST(KnownBadWorkloads, OnlyTheSystemsOwnAnalyzerWritesItsTrace)
     {
         // Each system brings its own analyzer (no other is subscribed
         // first); the finding lands on the trace of the system it
-        // happened in, and nowhere else.
+        // happened in, and nowhere else. Its summary reaches the
+        // exported trace as the event's detail.
+        trace::Tracer tracer;
+        trace::ScopedTracer install(&tracer);
         sim::AndroidSystem first(options);
         ASSERT_NE(first.analyzer(), nullptr);
         provokeRace(first);
@@ -240,9 +245,14 @@ TEST(KnownBadWorkloads, OnlyTheSystemsOwnAnalyzerWritesItsTrace)
             first.analyzer()->sink().countOf(ViolationKind::DataRace);
         ASSERT_GE(races, 1u);
         EXPECT_EQ(first.trace().countOfKind(kinds::kAnalysisDataRace), races);
-        const auto last = first.trace().lastOfKind(kinds::kAnalysisDataRace);
-        ASSERT_TRUE(last.has_value());
-        EXPECT_EQ(last->detail,
+        std::vector<std::string> exported;
+        for (const trace::TraceEvent &event : tracer.events()) {
+            if (event.phase == trace::Phase::kInstant &&
+                event.name == telemetryKindName(kinds::kAnalysisDataRace))
+                exported.push_back(event.arg);
+        }
+        ASSERT_EQ(exported.size(), races);
+        EXPECT_EQ(exported.back(),
                   first.analyzer()->sink().violations().back().summary);
 
         // A second system on the thread defers to the first one's

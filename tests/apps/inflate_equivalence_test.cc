@@ -17,7 +17,6 @@
 #include "apps/app_builder.h"
 #include "apps/corpus.h"
 #include "sa/sweep.h"
-#include "view/extra_widgets.h"
 #include "view/image_view.h"
 #include "view/layout_inflater.h"
 #include "view/list_view.h"
@@ -70,15 +69,9 @@ dumpTree(const View &view, int depth, std::string &out)
             out += item + "|";
         out += "]";
     }
-    if (const auto *grid = dynamic_cast<const GridView *>(&view))
-        out += " columns=" + std::to_string(grid->columns());
     if (const auto *bar = dynamic_cast<const ProgressBar *>(&view)) {
         out += " max=" + std::to_string(bar->max()) +
                " progress=" + std::to_string(bar->progress());
-    }
-    if (const auto *rating = dynamic_cast<const RatingBar *>(&view)) {
-        out += " stars=" + std::to_string(rating->numStars()) +
-               " rating=" + std::to_string(rating->rating());
     }
     if (const auto *video = dynamic_cast<const VideoView *>(&view))
         out += " video=\"" + video->videoUri() + "\"";

@@ -221,19 +221,25 @@ class RchdroidShellTest(CliCase):
         self.reject("locale", "locale: missing <tag>", "handling")
 
     def test_write_commands_need_a_path(self):
-        # Both used to print "error: cannot write " with no file name.
+        # Used to print "error: cannot write " with no file name.
         self.reject("metrics-json", "metrics-json: missing <path>",
                     "metrics written")
-        self.reject("trace-csv", "trace-csv: missing <path>",
-                    "trace written")
 
     @unittest.skipUnless(os.path.exists(DEV_FULL), "no /dev/full")
     def test_failed_write_of_a_command(self):
-        # Both used to print "... written to /dev/full" and exit 0.
+        # Used to print "... written to /dev/full" and exit 0.
         self.reject(f"metrics-json {DEV_FULL}", f"cannot write {DEV_FULL}",
                     "metrics written")
-        self.reject(f"trace-csv {DEV_FULL}", f"cannot write {DEV_FULL}",
-                    "trace written")
+
+    def test_trace_csv_is_not_a_command(self):
+        # Used to write the telemetry log as CSV and exit 0. The export
+        # is --trace-out's Chrome trace.
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "out.csv")
+            self.reject(f"trace-csv {path}",
+                        "error: unknown command 'trace-csv'",
+                        "trace written")
+            self.assertFalse(os.path.exists(path))
 
     @unittest.skipUnless(os.path.exists(DEV_FULL), "no /dev/full")
     def test_failed_write_of_trace_out(self):

@@ -1,8 +1,8 @@
 /**
  * @file
  * LayoutInflater: element construction, resource references, cost
- * accounting, custom factories, repeat inflates of a compiled layout,
- * and inflaters sharing one table's plans.
+ * accounting, failures, repeat inflates of a compiled layout, and
+ * inflaters sharing one table's plans.
  */
 #include <gtest/gtest.h>
 
@@ -51,6 +51,17 @@ struct InflaterFixture : ::testing::Test
         inflater.emplace(*resources, microseconds(100));
     }
 
+    /** Inflate `root` as a layout added to a copy of the table. */
+    Result<Loaded<std::unique_ptr<View>>>
+    inflateTree(const LayoutNode &root)
+    {
+        auto table = std::make_shared<ResourceTable>(resources->table());
+        const ResourceId tree = table->addLayout(
+            "tree", ResourceQualifier::any(), LayoutValue{root});
+        ResourceManager copy(std::move(table), resources->costModel());
+        return LayoutInflater(copy, microseconds(100)).inflate(tree, config);
+    }
+
     ResourceId layout_id = 0;
     std::optional<ResourceManager> resources;
     std::optional<LayoutInflater> inflater;
@@ -92,12 +103,20 @@ TEST_F(InflaterFixture, CostCoversParseInflateAndResources)
     EXPECT_EQ(result.value().cost, microseconds(70 + 300 + 10 + 61));
 }
 
-TEST_F(InflaterFixture, InflateNodeDirect)
+/** A childless `element` with `attrs`. */
+LayoutNode
+leaf(const std::string &element, std::map<std::string, std::string> attrs)
 {
     LayoutNode node;
-    node.element = "ProgressBar";
-    node.attrs = {{"id", "p"}, {"progress", "30"}, {"max", "60"}};
-    auto result = inflater->inflateNode(node, config);
+    node.element = element;
+    node.attrs = std::move(attrs);
+    return node;
+}
+
+TEST_F(InflaterFixture, ProgressAttributes)
+{
+    auto result = inflateTree(
+        leaf("ProgressBar", {{"id", "p"}, {"progress", "30"}, {"max", "60"}}));
     ASSERT_TRUE(result.isOk());
     auto *bar = dynamic_cast<ProgressBar *>(result.value().value.get());
     ASSERT_NE(bar, nullptr);
@@ -108,47 +127,28 @@ TEST_F(InflaterFixture, InflateNodeDirect)
 TEST_F(InflaterFixture, AllBuiltinElements)
 {
     for (const char *element :
-         {"View", "FrameLayout", "LinearLayout", "ScrollView", "TextView",
-          "Button", "EditText", "CheckBox", "ImageView", "ProgressBar",
-          "SeekBar", "ListView", "GridView", "AbsListView", "VideoView"}) {
-        LayoutNode node;
-        node.element = element;
-        node.attrs = {{"id", "x"}};
-        auto result = inflater->inflateNode(node, config);
+         {"View", "ViewGroup", "FrameLayout", "LinearLayout", "ScrollView",
+          "TextView", "Button", "EditText", "CheckBox", "ImageView",
+          "ProgressBar", "ListView", "VideoView"}) {
+        auto result = inflateTree(leaf(element, {{"id", "x"}}));
         ASSERT_TRUE(result.isOk()) << element;
+        EXPECT_EQ(result.value().value->id(), "x") << element;
     }
 }
 
 TEST_F(InflaterFixture, ListItemsAttribute)
 {
-    LayoutNode node;
-    node.element = "ListView";
-    node.attrs = {{"id", "l"}, {"items", "a|b|c"}};
-    auto result = inflater->inflateNode(node, config);
+    auto result = inflateTree(leaf("ListView", {{"id", "l"}, {"items", "a|b|c"}}));
     ASSERT_TRUE(result.isOk());
     auto *list = dynamic_cast<ListView *>(result.value().value.get());
     ASSERT_NE(list, nullptr);
     EXPECT_EQ(list->itemCount(), 3u);
 }
 
-TEST_F(InflaterFixture, GridColumns)
-{
-    LayoutNode node;
-    node.element = "GridView";
-    node.attrs = {{"id", "g"}, {"columns", "4"}};
-    auto result = inflater->inflateNode(node, config);
-    ASSERT_TRUE(result.isOk());
-    auto *grid = dynamic_cast<GridView *>(result.value().value.get());
-    ASSERT_NE(grid, nullptr);
-    EXPECT_EQ(grid->columns(), 4);
-}
-
 TEST_F(InflaterFixture, CheckedAttribute)
 {
-    LayoutNode node;
-    node.element = "CheckBox";
-    node.attrs = {{"id", "c"}, {"checked", "true"}};
-    auto result = inflater->inflateNode(node, config);
+    auto result =
+        inflateTree(leaf("CheckBox", {{"id", "c"}, {"checked", "true"}}));
     ASSERT_TRUE(result.isOk());
     auto *box = dynamic_cast<CheckBox *>(result.value().value.get());
     ASSERT_NE(box, nullptr);
@@ -157,55 +157,25 @@ TEST_F(InflaterFixture, CheckedAttribute)
 
 TEST_F(InflaterFixture, UnknownElementFails)
 {
-    LayoutNode node;
-    node.element = "FancyWidget";
-    auto result = inflater->inflateNode(node, config);
-    EXPECT_FALSE(result.isOk());
+    auto result = inflateTree(leaf("FancyWidget", {}));
+    ASSERT_FALSE(result.isOk());
     EXPECT_EQ(result.status().code(), StatusCode::NotFound);
+    EXPECT_EQ(result.status().toString(),
+              "NotFound: unknown layout element FancyWidget");
 }
 
 TEST_F(InflaterFixture, LeafWithChildrenFails)
 {
-    LayoutNode node;
-    node.element = "TextView";
-    LayoutNode child;
-    child.element = "View";
-    node.children.push_back(child);
-    auto result = inflater->inflateNode(node, config);
+    LayoutNode node = leaf("TextView", {});
+    node.children.push_back(leaf("View", {}));
+    auto result = inflateTree(node);
     EXPECT_FALSE(result.isOk());
     EXPECT_EQ(result.status().code(), StatusCode::InvalidArgument);
 }
 
 TEST_F(InflaterFixture, MissingStringReferenceFails)
 {
-    LayoutNode node;
-    node.element = "TextView";
-    node.attrs = {{"text", "@string/nope"}};
-    EXPECT_FALSE(inflater->inflateNode(node, config));
-}
-
-TEST_F(InflaterFixture, CustomFactoryBuildsUserDefinedView)
-{
-    class CustomCard final : public TextView
-    {
-      public:
-        explicit CustomCard(std::string id) : TextView(std::move(id)) {}
-        const char *typeName() const override { return "CustomCard"; }
-    };
-
-    ASSERT_TRUE(inflater->registerFactory(
-        "CustomCard",
-        [](const std::string &id, const auto &) {
-            return std::make_unique<CustomCard>(id);
-        }));
-    LayoutNode node;
-    node.element = "CustomCard";
-    node.attrs = {{"id", "card"}};
-    auto result = inflater->inflateNode(node, config);
-    ASSERT_TRUE(result.isOk());
-    EXPECT_STREQ(result.value().value->typeName(), "CustomCard");
-    // Still carries the Text migration class (basic-type migration).
-    EXPECT_EQ(result.value().value->migrationClass(), MigrationClass::Text);
+    EXPECT_FALSE(inflateTree(leaf("TextView", {{"text", "@string/nope"}})));
 }
 
 /** A fixture table's layout holding one element with `attrs`. */
@@ -224,15 +194,13 @@ addSingleElementLayout(ResourceTable &table, const std::string &name,
     return table.addLayout(name, ResourceQualifier::any(), LayoutValue{root});
 }
 
-struct LateInflaterFixture : ::testing::Test
+struct BrokenLayoutFixture : ::testing::Test
 {
-    LateInflaterFixture()
+    BrokenLayoutFixture()
     {
         auto table = std::make_shared<ResourceTable>();
         table->addString("hello", ResourceQualifier::any(),
                          StringValue{"Hello"});
-        card = addSingleElementLayout(
-            *table, "card", "Card", {{"id", "c"}, {"text", "@string/hello"}});
         unknown = addSingleElementLayout(*table, "unknown", "FancyWidget",
                                          {{"id", "f"}});
         missing = addSingleElementLayout(
@@ -247,46 +215,13 @@ struct LateInflaterFixture : ::testing::Test
         inflater.emplace(*resources, microseconds(100));
     }
 
-    ResourceId card = 0, unknown = 0, missing = 0, missing_drawable = 0;
+    ResourceId unknown = 0, missing = 0, missing_drawable = 0;
     std::optional<ResourceManager> resources;
     std::optional<LayoutInflater> inflater;
     Configuration config = Configuration::defaultPortrait();
 };
 
-TEST_F(LateInflaterFixture, FactoryRegisteredAfterFirstInflateIsUsed)
-{
-    auto before = inflater->inflate(card, config);
-    ASSERT_FALSE(before.isOk());
-    EXPECT_EQ(before.status().toString(),
-              "NotFound: unknown layout element Card");
-
-    std::string seen_text;
-    ASSERT_TRUE(inflater->registerFactory(
-        "Card", [&](const std::string &id, const auto &attrs) {
-            seen_text = attrs.at("text");
-            return std::make_unique<Button>(id);
-        }));
-    auto after = inflater->inflate(card, config);
-    ASSERT_TRUE(after.isOk()) << after.status().toString();
-    View *built = after.value().value->findViewById("c");
-    ASSERT_NE(built, nullptr);
-    EXPECT_STREQ(built->typeName(), "Button");
-    // The factory sees the raw attrs; the inflater resolves nothing.
-    EXPECT_EQ(seen_text, "@string/hello");
-    EXPECT_EQ(resources->stats().string_loads, 0u);
-
-    // A replacement factory takes over on the next inflate too.
-    ASSERT_TRUE(inflater->registerFactory(
-        "Card", [](const std::string &id, const auto &) {
-            return std::make_unique<EditText>(id);
-        }));
-    auto replaced = inflater->inflate(card, config);
-    ASSERT_TRUE(replaced.isOk());
-    EXPECT_STREQ(replaced.value().value->findViewById("c")->typeName(),
-                 "EditText");
-}
-
-TEST_F(LateInflaterFixture, FailuresRepeatOnEveryInflate)
+TEST_F(BrokenLayoutFixture, FailuresRepeatOnEveryInflate)
 {
     for (int round = 0; round < 3; ++round) {
         const ResourceLoadStats before = resources->stats();
@@ -308,52 +243,64 @@ TEST_F(LateInflaterFixture, FailuresRepeatOnEveryInflate)
     }
 }
 
-TEST_F(InflaterFixture, InflateNodeBuildsEachTreeItIsGiven)
+TEST(LayoutInflater, EachLayoutOfATableBuildsItsOwnTree)
 {
-    LayoutNode node;
-    node.element = "LinearLayout";
-    node.attrs = {{"id", "a"}, {"orientation", "horizontal"}};
-    LayoutNode text;
-    text.element = "TextView";
-    text.attrs = {{"id", "a_text"}, {"text", "@string/hello"}};
-    node.children = {text};
-    auto first = inflater->inflateNode(node, config);
-    ASSERT_TRUE(first.isOk());
+    auto table = std::make_shared<ResourceTable>();
+    table->addString("hello", ResourceQualifier::any(), StringValue{"Hello"});
+    table->addString("hello", ResourceQualifier::forLocale("fr-FR"),
+                     StringValue{"Bonjour"});
+    const LayoutNode text =
+        leaf("TextView", {{"id", "a_text"}, {"text", "@string/hello"}});
+    LayoutNode a = leaf("LinearLayout", {{"id", "a"}, {"orientation", "horizontal"}});
+    a.children = {text};
+    LayoutNode b = leaf("FrameLayout", {{"id", "b"}});
+    b.children = {leaf("ListView", {{"id", "b_list"}, {"items", "x|y"}}), text};
+    const ResourceId a_id =
+        table->addLayout("a", ResourceQualifier::any(), LayoutValue{a});
+    const ResourceId b_id =
+        table->addLayout("b", ResourceQualifier::any(), LayoutValue{b});
+    ResourceCostModel costs;
+    costs.lookup_cost = microseconds(10);
+    costs.layout_per_node = microseconds(20);
+    ResourceManager resources(std::move(table), costs);
+    LayoutInflater inflater(resources, microseconds(100));
+    const Configuration config = Configuration::defaultPortrait();
 
-    // Same storage, different tree: nothing may be reused from the first.
-    node.element = "FrameLayout";
-    node.attrs = {{"id", "b"}};
-    LayoutNode list;
-    list.element = "ListView";
-    list.attrs = {{"id", "b_list"}, {"items", "x|y"}};
-    node.children = {list, text};
-    auto second = inflater->inflateNode(node, config.withLocale("fr-FR"));
-    ASSERT_TRUE(second.isOk());
+    // Alternate the two, so each inflate but the first two walks a
+    // cached plan.
+    for (int round = 0; round < 2; ++round) {
+        auto first = inflater.inflate(a_id, config);
+        ASSERT_TRUE(first.isOk());
+        auto second = inflater.inflate(b_id, config.withLocale("fr-FR"));
+        ASSERT_TRUE(second.isOk());
 
-    const View &a = *first.value().value;
-    EXPECT_STREQ(a.typeName(), "LinearLayout");
-    EXPECT_EQ(dynamic_cast<const LinearLayout &>(a).direction(),
-              LinearLayout::Direction::Horizontal);
-    EXPECT_EQ(dynamic_cast<const ViewGroup &>(a).childCount(), 1u);
-    auto *a_text =
-        dynamic_cast<TextView *>(first.value().value->findViewById("a_text"));
-    ASSERT_NE(a_text, nullptr);
-    EXPECT_EQ(a_text->text(), "Hello");
-    EXPECT_TRUE(a_text->isTextFromResource());
+        const View &a_root = *first.value().value;
+        EXPECT_STREQ(a_root.typeName(), "LinearLayout");
+        EXPECT_EQ(dynamic_cast<const LinearLayout &>(a_root).direction(),
+                  LinearLayout::Direction::Horizontal);
+        EXPECT_EQ(dynamic_cast<const ViewGroup &>(a_root).childCount(), 1u);
+        auto *a_text = dynamic_cast<TextView *>(
+            first.value().value->findViewById("a_text"));
+        ASSERT_NE(a_text, nullptr);
+        EXPECT_EQ(a_text->text(), "Hello");
+        EXPECT_TRUE(a_text->isTextFromResource());
 
-    View &b = *second.value().value;
-    EXPECT_STREQ(b.typeName(), "FrameLayout");
-    EXPECT_EQ(b.id(), "b");
-    ASSERT_EQ(dynamic_cast<ViewGroup &>(b).childCount(), 2u);
-    auto *b_list = dynamic_cast<ListView *>(b.findViewById("b_list"));
-    ASSERT_NE(b_list, nullptr);
-    EXPECT_EQ(b_list->items(), (std::vector<std::string>{"x", "y"}));
-    auto *b_text = dynamic_cast<TextView *>(b.findViewById("a_text"));
-    ASSERT_NE(b_text, nullptr);
-    EXPECT_EQ(b_text->text(), "Bonjour");
-    // 2 + 3 nodes at 100 us, one string load (10 us) per tree.
-    EXPECT_EQ(first.value().cost, microseconds(2 * 100 + 10));
-    EXPECT_EQ(second.value().cost, microseconds(3 * 100 + 10));
+        View &b_root = *second.value().value;
+        EXPECT_STREQ(b_root.typeName(), "FrameLayout");
+        EXPECT_EQ(b_root.id(), "b");
+        ASSERT_EQ(dynamic_cast<ViewGroup &>(b_root).childCount(), 2u);
+        auto *b_list = dynamic_cast<ListView *>(b_root.findViewById("b_list"));
+        ASSERT_NE(b_list, nullptr);
+        EXPECT_EQ(b_list->items(), (std::vector<std::string>{"x", "y"}));
+        auto *b_text = dynamic_cast<TextView *>(b_root.findViewById("a_text"));
+        ASSERT_NE(b_text, nullptr);
+        EXPECT_EQ(b_text->text(), "Bonjour");
+        // Layout lookup 10 + 20 per node, 100 per node, one string load
+        // (10) per tree.
+        EXPECT_EQ(first.value().cost, microseconds(10 + 2 * 20 + 2 * 100 + 10));
+        EXPECT_EQ(second.value().cost,
+                  microseconds(10 + 3 * 20 + 3 * 100 + 10));
+    }
 }
 
 /** The tree's types, ids, texts and assets, one line per view. */
@@ -415,67 +362,6 @@ TEST_F(InflaterFixture, InflatersOverOneTableMatchACopiedTable)
     EXPECT_EQ(resources->stats().string_loads, copied.stats().string_loads);
     EXPECT_EQ(shared.stats().drawable_bytes, copied.stats().drawable_bytes);
     EXPECT_EQ(shared.stats().total_cost, copied.stats().total_cost);
-}
-
-TEST_F(LateInflaterFixture, FactoriesStayWithTheirInflater)
-{
-    ASSERT_TRUE(inflater->registerFactory(
-        "Card", [](const std::string &id, const auto &) {
-            return std::make_unique<Button>(id);
-        }));
-    ASSERT_TRUE(inflater->inflate(card, config).isOk());
-
-    // Same table, so the plan compiled above is shared; the factory is not.
-    ResourceManager shared(resources->sharedTable(), resources->costModel());
-    LayoutInflater other(shared, microseconds(100));
-    auto unregistered = other.inflate(card, config);
-    ASSERT_FALSE(unregistered.isOk());
-    EXPECT_EQ(unregistered.status().toString(),
-              "NotFound: unknown layout element Card");
-
-    ASSERT_TRUE(other.registerFactory(
-        "Card", [](const std::string &id, const auto &) {
-            return std::make_unique<EditText>(id);
-        }));
-    auto mine = inflater->inflate(card, config);
-    auto theirs = other.inflate(card, config);
-    ASSERT_TRUE(mine.isOk());
-    ASSERT_TRUE(theirs.isOk());
-    EXPECT_STREQ(mine.value().value->findViewById("c")->typeName(), "Button");
-    EXPECT_STREQ(theirs.value().value->findViewById("c")->typeName(),
-                 "EditText");
-}
-
-TEST_F(LateInflaterFixture, FactoryMayInflateAnotherTablesLayout)
-{
-    // The factory's inflate replaces this thread's plan cache while the
-    // outer inflate is still walking its plan.
-    auto other_table = std::make_shared<ResourceTable>();
-    const ResourceId other_layout = addSingleElementLayout(
-        *other_table, "other", "TextView", {{"id", "o"}, {"text", "x"}});
-    ResourceManager other_resources(other_table, ResourceCostModel{});
-    LayoutInflater other(other_resources, microseconds(100));
-    ASSERT_TRUE(inflater->registerFactory(
-        "Card", [&](const std::string &id, const auto &) {
-            EXPECT_TRUE(other.inflate(other_layout, config).isOk());
-            return std::make_unique<Button>(id);
-        }));
-    for (int round = 0; round < 2; ++round) {
-        auto result = inflater->inflate(card, config);
-        ASSERT_TRUE(result.isOk()) << result.status().toString();
-        EXPECT_STREQ(result.value().value->findViewById("c")->typeName(),
-                     "Button");
-    }
-}
-
-TEST_F(InflaterFixture, CannotOverrideBuiltins)
-{
-    const auto status = inflater->registerFactory(
-        "TextView", [](const std::string &id, const auto &) {
-            return std::make_unique<TextView>(id);
-        });
-    EXPECT_FALSE(status.isOk());
-    EXPECT_EQ(status.code(), StatusCode::InvalidArgument);
 }
 
 } // namespace

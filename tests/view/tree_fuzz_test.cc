@@ -17,8 +17,9 @@
 #include "platform/rng.h"
 #include "rch/lazy_migrator.h"
 #include "rch/view_tree_mapper.h"
-#include "view/extra_widgets.h"
 #include "view/image_view.h"
+#include "view/list_view.h"
+#include "view/progress_bar.h"
 #include "view/text_view.h"
 #include "view/video_view.h"
 #include "view/view_group.h"
@@ -94,8 +95,9 @@ randomWidget(Rng &rng, int &id_counter)
         return v;
       }
       default: {
-        auto v = std::make_unique<RatingBar>(id, 5);
-        v->setRating(static_cast<double>(rng.nextInt(0, 10)) / 2.0);
+        auto v = std::make_unique<ProgressBar>(id);
+        v->setMax(10);
+        v->setProgress(static_cast<int>(rng.nextInt(0, 10)));
         return v;
       }
     }

@@ -135,21 +135,9 @@ TEST(Migration, UserDefinedSubclassMigratesByBasicType)
     BadgeView shadow("b"), sunny("b");
     shadow.setText("3 new");
     shadow.badge_count = 3;
-    EXPECT_EQ(shadow.migrationClass(), MigrationClass::Text);
     shadow.applyMigration(sunny);
     EXPECT_EQ(sunny.text(), "3 new"); // the Text policy applied
     EXPECT_EQ(sunny.badge_count, 0);  // custom fields are app business
-}
-
-TEST(Migration, MigrationClassNames)
-{
-    EXPECT_STREQ(migrationClassName(MigrationClass::Text), "Text");
-    EXPECT_STREQ(migrationClassName(MigrationClass::Image), "Image");
-    EXPECT_STREQ(migrationClassName(MigrationClass::List), "List");
-    EXPECT_STREQ(migrationClassName(MigrationClass::Scroll), "Scroll");
-    EXPECT_STREQ(migrationClassName(MigrationClass::Video), "Video");
-    EXPECT_STREQ(migrationClassName(MigrationClass::Progress), "Progress");
-    EXPECT_STREQ(migrationClassName(MigrationClass::Generic), "Generic");
 }
 
 TEST(MigrationDeath, CrossTypeMigrationPanics)

@@ -92,15 +92,6 @@ TEST(WidgetState, ProgressBarLostByDefaultKeptByFull)
     }
 }
 
-TEST(WidgetState, SeekBarKeptByDefault)
-{
-    SeekBar source("s");
-    source.dragTo(77);
-    SeekBar fresh("s");
-    transferState(source, fresh, false);
-    EXPECT_EQ(fresh.progress(), 77);
-}
-
 TEST(WidgetState, ListSelectionLostByDefaultScrollKept)
 {
     ListView source("l");

@@ -33,13 +33,13 @@
  *   stats                        print RCHDroid + starter counters
  *   dumpsys                      print the dumpsys state snapshot
  *   metrics-json <path>          write the metrics registry as JSON
- *   trace-csv <path>             dump the telemetry log as CSV
  *   quit                         exit
  *
  * With --trace-out=FILE the whole session is recorded as a Chrome
- * trace-event JSON (open in Perfetto / chrome://tracing). An empty FILE
- * or any argument after the script path exits 2 before the session
- * starts.
+ * trace-event JSON (open in Perfetto / chrome://tracing), every
+ * telemetry event included as an instant with its detail. An empty
+ * FILE or any argument after the script path exits 2 before the
+ * session starts.
  *
  * A missing, non-numeric or out-of-range argument is a command error:
  * the shell prints an `error:` line naming the command and the bad
@@ -301,18 +301,6 @@ execute(ShellState &state, const std::string &line)
             return false;
         }
         std::printf("metrics written to %s\n", path.c_str());
-    } else if (command == "trace-csv") {
-        std::string path;
-        args >> path;
-        if (path.empty()) {
-            std::printf("error: trace-csv: missing <path>\n");
-            return false;
-        }
-        if (!device.trace().writeCsv(path)) {
-            std::printf("error: cannot write %s\n", path.c_str());
-            return false;
-        }
-        std::printf("trace written to %s\n", path.c_str());
     } else if (command == "quit") {
         return true;
     } else {
