@@ -1,9 +1,9 @@
 /**
  * @file
- * Heap allocation counting for bench_mc: alloc_counter.cc replaces the
- * global operator new with one that counts its calls and forwards to
- * malloc. Only bench_mc links it; the test binaries keep the standard
- * allocator (and the sanitizers' own).
+ * Heap allocation counting for bench_mc and bench_simcore:
+ * alloc_counter.cc replaces the global operator new with one that counts
+ * its calls and forwards to malloc. Only those two benches link it; the
+ * test binaries keep the standard allocator (and the sanitizers' own).
  */
 #ifndef RCHDROID_BENCH_ALLOC_COUNTER_H
 #define RCHDROID_BENCH_ALLOC_COUNTER_H

@@ -13,21 +13,28 @@
  * speedup and to check the parallel aggregate is bit-identical to the
  * serial one.
  *
+ * The three serial workloads also report their operator new calls
+ * (alloc_counter.cc) in total and per event; on one thread the counts
+ * repeat exactly from run to run.
+ *
  * Results are printed as a table and written to a machine-readable JSON
  * file (--out=PATH, default BENCH_simcore.json) that the CI perf-smoke
- * job archives. The wall-clock numbers are advisory and nothing gates
- * them: the simulator's virtual-time outputs are pinned exactly by the
- * paper_bench_golden and observability_golden tests instead. The exit
+ * job archives. Nothing gates the wall-clock numbers, which are
+ * advisory, or the allocation counts: the simulator's virtual-time
+ * outputs are pinned exactly by the paper_bench_golden and
+ * observability_golden tests instead. The exit
  * status is 1 when the parallel aggregate differs from the serial one.
  * An empty or unopenable path exits 2 before the bench runs, and a
  * failed write exits 2 too.
  */
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "bench_common.h"
 #include "os/looper.h"
 #include "os/scheduler.h"
@@ -55,11 +62,19 @@ struct WorkloadResult
     std::string name;
     double events = 0.0;
     double wall_seconds = 0.0;
+    /** operator new calls over the timed region. */
+    std::uint64_t allocations = 0;
 
     double
     eventsPerSec() const
     {
         return wall_seconds > 0 ? events / wall_seconds : 0.0;
+    }
+
+    double
+    allocationsPerEvent() const
+    {
+        return events > 0 ? static_cast<double>(allocations) / events : 0.0;
     }
 };
 
@@ -78,11 +93,12 @@ runPingpong()
             return;
         ((remaining & 1) ? looper_b : looper_a).post(bounce, 0, 0, "bounce");
     };
+    const std::uint64_t allocations = allocationCount();
     WallTimer timer;
     looper_a.post(bounce, 0, 0, "bounce");
     scheduler.runUntilIdle();
     return {"looper_pingpong", static_cast<double>(kBounces),
-            timer.seconds()};
+            timer.seconds(), allocationCount() - allocations};
 }
 
 /**
@@ -109,12 +125,14 @@ runDeepQueue()
             return;
         looper.post(work, next_delay(), 0, "w");
     };
+    const std::uint64_t allocations = allocationCount();
     WallTimer timer;
     for (int i = 0; i < kDepth; ++i)
         looper.post(work, next_delay(), 0, "w");
     while (executed < kEvents && scheduler.step()) {
     }
-    return {"deep_queue", static_cast<double>(executed), timer.seconds()};
+    return {"deep_queue", static_cast<double>(executed), timer.seconds(),
+            allocationCount() - allocations};
 }
 
 /** End-to-end RCHDroid rotations on the 8-view benchmark app. */
@@ -126,6 +144,7 @@ runRotations()
     const auto spec = apps::makeBenchmarkApp(8);
     system.install(spec);
     system.launch(spec);
+    const std::uint64_t allocations = allocationCount();
     WallTimer timer;
     for (int i = 0; i < kRotations; ++i) {
         system.rotate();
@@ -134,7 +153,7 @@ runRotations()
     }
     return {"system_rotations",
             static_cast<double>(system.scheduler().executedEvents()),
-            timer.seconds()};
+            timer.seconds(), allocationCount() - allocations};
 }
 
 /** Exact-equality comparison used by the 1-vs-N determinism check. */
@@ -233,9 +252,13 @@ writeJson(std::FILE *out, const std::string &path,
         const auto &load = loads[i];
         std::fprintf(out,
                      "    \"%s\": {\"events\": %.0f, \"wall_seconds\": %.4f, "
-                     "\"events_per_sec\": %.0f}%s\n",
+                     "\"events_per_sec\": %.0f, \"allocations\": %llu, "
+                     "\"allocations_per_event\": %.3f}%s\n",
                      load.name.c_str(), load.events, load.wall_seconds,
-                     load.eventsPerSec(), i + 1 < loads.size() ? "," : "");
+                     load.eventsPerSec(),
+                     static_cast<unsigned long long>(load.allocations),
+                     load.allocationsPerEvent(),
+                     i + 1 < loads.size() ? "," : "");
     }
     std::fprintf(out, "  },\n");
     std::fprintf(out, "  \"parallel_matrix\": {\n");
@@ -271,11 +294,14 @@ run(int jobs, std::FILE *out, const std::string &out_path)
     loads.push_back(runDeepQueue());
     loads.push_back(runRotations());
 
-    TablePrinter table({"workload", "events", "wall (s)", "events/sec"});
+    TablePrinter table({"workload", "events", "wall (s)", "events/sec",
+                        "allocations", "allocs/event"});
     for (const auto &load : loads) {
         table.addRow({load.name, formatDouble(load.events, 0),
                       formatDouble(load.wall_seconds, 3),
-                      formatDouble(load.eventsPerSec(), 0)});
+                      formatDouble(load.eventsPerSec(), 0),
+                      std::to_string(load.allocations),
+                      formatDouble(load.allocationsPerEvent(), 3)});
     }
     table.print();
 

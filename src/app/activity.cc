@@ -95,7 +95,7 @@ Activity::performRestoreInstanceState(const Bundle &saved)
 {
     RCH_ASSERT(state_ == LifecycleState::Started,
                "restore outside Started: ", lifecycleStateName(state_));
-    const Bundle views = saved.getBundle("views");
+    const Bundle &views = saved.getBundle("views");
     const int n = window_.countViews();
     chargeCpu(context_.costs.restore_state_per_view * n);
     if (!views.empty())
@@ -206,15 +206,14 @@ Activity::saveInstanceStateNow(bool full)
     return out;
 }
 
-Bundle
+const Bundle &
 Activity::enterShadowState()
 {
     RCH_ASSERT(state_ == LifecycleState::Resumed ||
                    state_ == LifecycleState::Sunny,
                "enterShadowState from ", lifecycleStateName(state_));
     // The explicit RCHDroid snapshot: full per-view coverage.
-    Bundle snapshot = saveInstanceStateNow(/*full=*/true);
-    shadow_snapshot_ = snapshot;
+    shadow_snapshot_ = saveInstanceStateNow(/*full=*/true);
     has_shadow_snapshot_ = true;
     transitionTo(LifecycleState::Shadow);
     window_.decorView().dispatchSunnyStateChanged(false);
@@ -222,7 +221,7 @@ Activity::enterShadowState()
     shadow_entered_at_ =
         context_.ui_looper ? context_.ui_looper->now() : 0;
     emitEvent(kinds::kActivityEnterShadow);
-    return snapshot;
+    return shadow_snapshot_;
 }
 
 void

@@ -120,9 +120,11 @@ class Activity : public ViewTreeHost
     bool isSunny() const { return state_ == LifecycleState::Sunny; }
     /**
      * Enter the shadow state: snapshot instance state, flag the tree,
-     * transition Resumed/Sunny → Shadow. Returns the snapshot.
+     * transition Resumed/Sunny → Shadow. Returns the one snapshot the
+     * activity keeps (shadowSnapshot()), valid until the activity
+     * leaves the shadow state or is destroyed.
      */
-    Bundle enterShadowState();
+    const Bundle &enterShadowState();
     /** Leave shadow for the foreground (coin-flip target). */
     void enterSunnyStateFromShadow();
     /** Downgrade Sunny → Resumed (shadow partner collected). */
@@ -205,7 +207,8 @@ class Activity : public ViewTreeHost
     /** Time this instance last entered the shadow state. */
     SimTime shadowEnteredAt() const { return shadow_entered_at_; }
 
-    /** Snapshot captured on the last enterShadowState(). */
+    /** Snapshot captured on the last enterShadowState(); cleared when
+     * the activity flips to sunny or is destroyed. */
     bool hasShadowSnapshot() const { return has_shadow_snapshot_; }
     const Bundle &shadowSnapshot() const { return shadow_snapshot_; }
 

@@ -54,7 +54,9 @@ FragmentManager::attach(const std::string &container_id,
 
     // Replay saved state captured before a restart / shadow snapshot.
     if (pending_restored_.contains(fragment->tag())) {
-        const Bundle state = pending_restored_.getBundle(fragment->tag());
+        // `state` points into pending_restored_: read it all before the
+        // entry is removed.
+        const Bundle &state = pending_restored_.getBundle(fragment->tag());
         fragment->view_->restoreHierarchyState(state.getBundle("views"),
                                                "f");
         fragment->onRestoreState(state.getBundle("own"));

@@ -179,7 +179,7 @@ class SavedRestoreOracle final : public Oracle
             if (!foreground || !shadow || foreground == shadow ||
                 !shadow->hasShadowSnapshot())
                 continue;
-            const Bundle saved = shadow->shadowSnapshot();
+            const Bundle &saved = shadow->shadowSnapshot();
             const Bundle restored =
                 foreground->saveInstanceStateNow(/*full=*/true);
             const Bundle shadow_now =

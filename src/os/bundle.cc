@@ -44,16 +44,28 @@ Bundle::putBundle(const std::string &key, Bundle value)
     entries_[key] = std::make_shared<Bundle>(std::move(value));
 }
 
+const BundleValue *
+Bundle::find(const std::string &key) const
+{
+    auto it = entries_.find(key);
+    return it == entries_.end() ? nullptr : &it->second;
+}
+
 namespace {
 
 template <typename T>
 const T *
-lookup(const std::map<std::string, BundleValue> &entries, const std::string &key)
+lookup(const Bundle &bundle, const std::string &key)
 {
-    auto it = entries.find(key);
-    if (it == entries.end())
-        return nullptr;
-    return std::get_if<T>(&it->second);
+    const BundleValue *value = bundle.find(key);
+    return value ? std::get_if<T>(value) : nullptr;
+}
+
+const Bundle &
+emptyBundle()
+{
+    static const Bundle empty;
+    return empty;
 }
 
 } // namespace
@@ -61,50 +73,57 @@ lookup(const std::map<std::string, BundleValue> &entries, const std::string &key
 std::int64_t
 Bundle::getInt(const std::string &key, std::int64_t fallback) const
 {
-    const auto *v = lookup<std::int64_t>(entries_, key);
+    const auto *v = lookup<std::int64_t>(*this, key);
     return v ? *v : fallback;
 }
 
 double
 Bundle::getDouble(const std::string &key, double fallback) const
 {
-    const auto *v = lookup<double>(entries_, key);
+    const auto *v = lookup<double>(*this, key);
     return v ? *v : fallback;
 }
 
 bool
 Bundle::getBool(const std::string &key, bool fallback) const
 {
-    const auto *v = lookup<bool>(entries_, key);
+    const auto *v = lookup<bool>(*this, key);
     return v ? *v : fallback;
 }
 
 std::string
 Bundle::getString(const std::string &key, const std::string &fallback) const
 {
-    const auto *v = lookup<std::string>(entries_, key);
+    const auto *v = lookup<std::string>(*this, key);
     return v ? *v : fallback;
 }
 
 std::vector<std::int64_t>
 Bundle::getIntVector(const std::string &key) const
 {
-    const auto *v = lookup<std::vector<std::int64_t>>(entries_, key);
+    const auto *v = lookup<std::vector<std::int64_t>>(*this, key);
     return v ? *v : std::vector<std::int64_t>{};
 }
 
 std::vector<std::string>
 Bundle::getStringVector(const std::string &key) const
 {
-    const auto *v = lookup<std::vector<std::string>>(entries_, key);
+    const auto *v = lookup<std::vector<std::string>>(*this, key);
     return v ? *v : std::vector<std::string>{};
 }
 
-Bundle
+const Bundle &
 Bundle::getBundle(const std::string &key) const
 {
-    const auto *v = lookup<std::shared_ptr<Bundle>>(entries_, key);
-    return (v && *v) ? **v : Bundle{};
+    const BundleValue *value = find(key);
+    return value ? asBundle(*value) : emptyBundle();
+}
+
+const Bundle &
+Bundle::asBundle(const BundleValue &value)
+{
+    const auto *nested = std::get_if<std::shared_ptr<Bundle>>(&value);
+    return (nested && *nested) ? **nested : emptyBundle();
 }
 
 bool

@@ -65,9 +65,22 @@ class Bundle
                           const std::string &fallback = {}) const;
     std::vector<std::int64_t> getIntVector(const std::string &key) const;
     std::vector<std::string> getStringVector(const std::string &key) const;
-    /** Nested bundle; empty bundle when missing. */
-    Bundle getBundle(const std::string &key) const;
+    /**
+     * Nested bundle, read in place: the reference points into this
+     * bundle and stays valid until that key is overwritten or removed
+     * (or this bundle dies), so never bind it to a getBundle of a
+     * temporary. A missing key, or a key holding another type, yields
+     * a shared empty bundle.
+     */
+    const Bundle &getBundle(const std::string &key) const;
     /** @} */
+
+    /** The value under `key`, or null when absent; valid as long as a
+     * getBundle reference to it would be. */
+    const BundleValue *find(const std::string &key) const;
+    /** The bundle `value` holds; the shared empty bundle for any other
+     * type. */
+    static const Bundle &asBundle(const BundleValue &value);
 
     bool contains(const std::string &key) const;
     bool empty() const { return entries_.empty(); }

@@ -1,7 +1,7 @@
 #include "resources/configuration.h"
 
 #include <cmath>
-#include <sstream>
+#include <cstdio>
 #include <vector>
 
 #include "platform/strings.h"
@@ -38,15 +38,27 @@ Configuration::operator==(const Configuration &other) const
 std::string
 Configuration::toString() const
 {
-    std::ostringstream os;
-    os << (orientation == Orientation::Portrait ? "port" : "land") << ' '
-       << screen_width_px << 'x' << screen_height_px << ' ' << locale << ' '
-       << density_dpi << "dpi";
+    std::string out;
+    out.reserve(48);
+    out += orientation == Orientation::Portrait ? "port " : "land ";
+    out += std::to_string(screen_width_px);
+    out += 'x';
+    out += std::to_string(screen_height_px);
+    out += ' ';
+    out += locale;
+    out += ' ';
+    out += std::to_string(density_dpi);
+    out += "dpi";
     if (keyboard == KeyboardState::Attached)
-        os << " kbd";
-    if (font_scale != 1.0)
-        os << " font" << font_scale;
-    return os.str();
+        out += " kbd";
+    if (font_scale != 1.0) {
+        // "%g" is what a default-formatted stream writes (precision 6),
+        // which keeps the text the traces and fingerprints were built on.
+        char scale[32];
+        std::snprintf(scale, sizeof scale, " font%g", font_scale);
+        out += scale;
+    }
+    return out;
 }
 
 Configuration

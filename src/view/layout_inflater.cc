@@ -370,6 +370,7 @@ LayoutInflater::build(const InflatePlan &plan, const Configuration &config,
         return Status::invalidArgument(plan.source->element +
                                        " cannot have children");
     }
+    group->reserveChildren(plan.children.size());
     for (const InflatePlan &child_plan : plan.children) {
         auto child = build(child_plan, config, cost);
         if (!child)

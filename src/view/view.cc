@@ -25,12 +25,6 @@ View::attachToHost(ViewTreeHost *host)
 }
 
 void
-View::detachFromHost()
-{
-    host_ = nullptr;
-}
-
-void
 View::markDestroyed()
 {
     visit([](View &v) {
@@ -92,63 +86,87 @@ View::requireAlive(const char *operation) const
     }
 }
 
-std::string
-View::stateKey(bool full, const std::string &path) const
+const std::string *
+View::stateKey(bool full, const std::string &path_key) const
 {
     if (!id_.empty())
-        return id_;
+        return &id_;
     // Stock Android skips id-less views; RCHDroid's explicit snapshot
     // keys them by structural path instead.
-    if (full && !path.empty())
-        return "@" + path;
-    return {};
+    if (full && path_key.size() > 1)
+        return &path_key;
+    return nullptr;
 }
+
+namespace {
+
+/** The path-key form of a structural path: "@" + path. */
+std::string
+pathKey(const std::string &path)
+{
+    std::string key(1, '@');
+    key += path;
+    return key;
+}
+
+} // namespace
 
 void
 View::saveHierarchyState(Bundle &container, bool full,
                          const std::string &path) const
 {
-    const std::string key = stateKey(full, path);
-    if (!key.empty()) {
+    std::string path_key = pathKey(path);
+    saveTree(container, full, path_key);
+}
+
+void
+View::saveTree(Bundle &container, bool full, std::string &path_key) const
+{
+    if (const std::string *key = stateKey(full, path_key)) {
         Bundle state;
         onSaveState(state, full);
         if (!state.empty())
-            container.putBundle(key, std::move(state));
+            container.putBundle(*key, std::move(state));
     }
     // Children always participate, whether or not this view has a key —
     // Android's dispatchSaveInstanceState recurses unconditionally.
-    dispatchSaveChildren(container, full, path);
+    dispatchSaveChildren(container, full, path_key);
 }
 
 void
 View::restoreHierarchyState(const Bundle &container, const std::string &path)
 {
+    std::string path_key = pathKey(path);
+    restoreTree(container, path_key);
+}
+
+void
+View::restoreTree(const Bundle &container, std::string &path_key)
+{
     // Try the id key first, then the structural-path key a full-mode
     // save may have used.
-    if (!id_.empty() && container.contains(id_)) {
-        onRestoreState(container.getBundle(id_));
-    } else {
-        const std::string path_key = "@" + path;
-        if (!path.empty() && container.contains(path_key))
-            onRestoreState(container.getBundle(path_key));
-    }
-    dispatchRestoreChildren(container, path);
+    const BundleValue *saved = id_.empty() ? nullptr : container.find(id_);
+    if (saved == nullptr && path_key.size() > 1)
+        saved = container.find(path_key);
+    if (saved != nullptr)
+        onRestoreState(Bundle::asBundle(*saved));
+    dispatchRestoreChildren(container, path_key);
 }
 
 void
 View::dispatchSaveChildren(Bundle &container, bool full,
-                           const std::string &path) const
+                           std::string &path_key) const
 {
     (void)container;
     (void)full;
-    (void)path;
+    (void)path_key;
 }
 
 void
-View::dispatchRestoreChildren(const Bundle &container, const std::string &path)
+View::dispatchRestoreChildren(const Bundle &container, std::string &path_key)
 {
     (void)container;
-    (void)path;
+    (void)path_key;
 }
 
 void
@@ -179,6 +197,12 @@ View::setFrame(int left, int top, int width, int height)
     top_ = top;
     width_ = width;
     height_ = height;
+}
+
+void
+View::layoutSubtree(int left, int top, int width, int height)
+{
+    setFrame(left, top, width, height);
 }
 
 std::size_t

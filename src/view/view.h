@@ -86,7 +86,6 @@ class View
      * @{
      */
     void attachToHost(ViewTreeHost *host);
-    void detachFromHost();
     /** Mark the whole subtree released (activity destroyed). */
     void markDestroyed();
     bool isDestroyed() const { return destroyed_; }
@@ -147,9 +146,20 @@ class View
     /** Restore from `container`, trying the id key then the path key. */
     void restoreHierarchyState(const Bundle &container,
                                const std::string &path = {});
-    /** Key this view's state is stored under, or "" to skip. */
-    std::string stateKey(bool full, const std::string &path) const;
+    /**
+     * Key this view's state is stored under, or null to skip.
+     * @param path_key "@" followed by this view's structural path (the
+     *        path-key form), so an id-less view's key is this string.
+     */
+    const std::string *stateKey(bool full, const std::string &path_key) const;
     /** @} */
+
+    /**
+     * Assign this subtree's frames inside the given slot. A plain view
+     * takes the slot as its frame; containers also arrange their
+     * children.
+     */
+    virtual void layoutSubtree(int left, int top, int width, int height);
 
     /**
      * Apply this view's migratable attributes onto `target`: the Table 1
@@ -206,17 +216,25 @@ class View
     virtual void onSaveState(Bundle &state, bool full) const;
     virtual void onRestoreState(const Bundle &state);
 
-    /** Container recursion hooks (overridden by ViewGroup). */
+    /**
+     * Container recursion hooks (overridden by ViewGroup). `path_key` is
+     * this view's path key; a container extends it in place for each
+     * child and gives it back unchanged.
+     */
     virtual void dispatchSaveChildren(Bundle &container, bool full,
-                                      const std::string &path) const;
+                                      std::string &path_key) const;
     virtual void dispatchRestoreChildren(const Bundle &container,
-                                         const std::string &path);
+                                         std::string &path_key);
 
     /** ViewGroup wires parents through this. */
     void setParent(ViewGroup *parent) { parent_ = parent; }
     friend class ViewGroup;
 
   private:
+    /** The save and restore walks over one path-key buffer. */
+    void saveTree(Bundle &container, bool full, std::string &path_key) const;
+    void restoreTree(const Bundle &container, std::string &path_key);
+
     std::string id_;
     ViewGroup *parent_ = nullptr;
     ViewTreeHost *host_ = nullptr;

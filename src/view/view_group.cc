@@ -1,5 +1,6 @@
 #include "view/view_group.h"
 
+#include <charconv>
 #include <utility>
 
 #include "platform/logging.h"
@@ -27,17 +28,6 @@ ViewGroup::removeChildAt(std::size_t index)
 {
     RCH_ASSERT(index < children_.size(), "child index out of range");
     children_.erase(children_.begin() + static_cast<std::ptrdiff_t>(index));
-}
-
-std::unique_ptr<View>
-ViewGroup::detachChildAt(std::size_t index)
-{
-    RCH_ASSERT(index < children_.size(), "child index out of range");
-    std::unique_ptr<View> child = std::move(children_[index]);
-    children_.erase(children_.begin() + static_cast<std::ptrdiff_t>(index));
-    child->setParent(nullptr);
-    child->detachFromHost();
-    return child;
 }
 
 View &
@@ -106,12 +96,8 @@ void
 ViewGroup::layoutSubtree(int left, int top, int width, int height)
 {
     setFrame(left, top, width, height);
-    for (auto &child : children_) {
-        if (auto *group = dynamic_cast<ViewGroup *>(child.get()))
-            group->layoutSubtree(left, top, width, height);
-        else
-            child->setFrame(left, top, width, height);
-    }
+    for (auto &child : children_)
+        child->layoutSubtree(left, top, width, height);
 }
 
 void
@@ -129,25 +115,43 @@ ViewGroup::onRestoreState(const Bundle &state)
     (void)state;
 }
 
+namespace {
+
+/** Extend a path key in place to its i-th child's: "@path/i", or "@i"
+ * under an empty path. */
+void
+appendChildIndex(std::string &path_key, std::size_t i)
+{
+    if (path_key.size() > 1)
+        path_key += '/';
+    char digits[20];
+    const auto end = std::to_chars(digits, digits + sizeof digits, i).ptr;
+    path_key.append(digits, end);
+}
+
+} // namespace
+
 void
 ViewGroup::dispatchSaveChildren(Bundle &container, bool full,
-                                const std::string &path) const
+                                std::string &path_key) const
 {
+    const std::size_t length = path_key.size();
     for (std::size_t i = 0; i < children_.size(); ++i) {
-        const std::string child_path =
-            path.empty() ? std::to_string(i) : path + "/" + std::to_string(i);
-        children_[i]->saveHierarchyState(container, full, child_path);
+        appendChildIndex(path_key, i);
+        children_[i]->saveTree(container, full, path_key);
+        path_key.resize(length);
     }
 }
 
 void
 ViewGroup::dispatchRestoreChildren(const Bundle &container,
-                                   const std::string &path)
+                                   std::string &path_key)
 {
+    const std::size_t length = path_key.size();
     for (std::size_t i = 0; i < children_.size(); ++i) {
-        const std::string child_path =
-            path.empty() ? std::to_string(i) : path + "/" + std::to_string(i);
-        children_[i]->restoreHierarchyState(container, child_path);
+        appendChildIndex(path_key, i);
+        children_[i]->restoreTree(container, path_key);
+        path_key.resize(length);
     }
 }
 
@@ -166,20 +170,14 @@ LinearLayout::layoutSubtree(int left, int top, int width, int height)
     if (direction_ == Direction::Vertical) {
         const int slot = height / n;
         for (int i = 0; i < n; ++i) {
-            auto &child = childAt(static_cast<std::size_t>(i));
-            if (auto *group = dynamic_cast<ViewGroup *>(&child))
-                group->layoutSubtree(left, top + i * slot, width, slot);
-            else
-                child.setFrame(left, top + i * slot, width, slot);
+            childAt(static_cast<std::size_t>(i))
+                .layoutSubtree(left, top + i * slot, width, slot);
         }
     } else {
         const int slot = width / n;
         for (int i = 0; i < n; ++i) {
-            auto &child = childAt(static_cast<std::size_t>(i));
-            if (auto *group = dynamic_cast<ViewGroup *>(&child))
-                group->layoutSubtree(left + i * slot, top, slot, height);
-            else
-                child.setFrame(left + i * slot, top, slot, height);
+            childAt(static_cast<std::size_t>(i))
+                .layoutSubtree(left + i * slot, top, slot, height);
         }
     }
 }

@@ -36,8 +36,8 @@ class ViewGroup : public View
     /** Remove (and destroy) the child at index. */
     void removeChildAt(std::size_t index);
 
-    /** Detach and return the child at index without destroying it. */
-    std::unique_ptr<View> detachChildAt(std::size_t index);
+    /** Make room for `count` children (the inflater knows the count). */
+    void reserveChildren(std::size_t count) { children_.reserve(count); }
 
     std::size_t childCount() const { return children_.size(); }
     View &childAt(std::size_t index);
@@ -59,20 +59,17 @@ class ViewGroup : public View
 
     std::size_t memoryFootprintBytes() const override;
 
-    /**
-     * Lay out children within the given frame. Containers override to
-     * implement their arrangement; the base stacks children like
-     * FrameLayout.
-     */
-    virtual void layoutSubtree(int left, int top, int width, int height);
+    /** Take the frame and stack every child in it, like FrameLayout;
+     * containers with another arrangement override. */
+    void layoutSubtree(int left, int top, int width, int height) override;
 
   protected:
     void onSaveState(Bundle &state, bool full) const override;
     void onRestoreState(const Bundle &state) override;
     void dispatchSaveChildren(Bundle &container, bool full,
-                              const std::string &path) const override;
+                              std::string &path_key) const override;
     void dispatchRestoreChildren(const Bundle &container,
-                                 const std::string &path) override;
+                                 std::string &path_key) override;
 
     const std::vector<std::unique_ptr<View>> &children() const
     { return children_; }

@@ -170,6 +170,21 @@ TEST_F(ActivityFixture, EnterShadowStateFlagsAndSnapshots)
               "status");
 }
 
+TEST_F(ActivityFixture, EnterShadowStateKeepsOneSnapshot)
+{
+    MiniApp app;
+    app.attachContext(makeContext());
+    launch(app);
+    app.findViewByIdAs<EditText>("edit")->typeText("draft");
+    app.findViewByIdAs<TextView>("label")->setText("status");
+    const Bundle before = app.saveInstanceStateNow(/*full=*/true);
+
+    // The returned snapshot is the one the activity keeps, not a copy.
+    const Bundle &snapshot = app.enterShadowState();
+    EXPECT_EQ(&snapshot, &app.shadowSnapshot());
+    EXPECT_TRUE(snapshot == before);
+}
+
 TEST_F(ActivityFixture, FlipBackToSunnyClearsSnapshot)
 {
     MiniApp app;

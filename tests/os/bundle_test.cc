@@ -74,6 +74,35 @@ TEST(Bundle, DeepNesting)
     EXPECT_EQ(l1.getBundle("l2").getBundle("l3").getString("leaf"), "deep");
 }
 
+TEST(Bundle, GetBundleReadsNestedInPlace)
+{
+    Bundle inner;
+    inner.putInt("x", 42);
+    Bundle outer;
+    outer.putBundle("inner", inner);
+    outer.putInt("number", 7);
+
+    const Bundle &first = outer.getBundle("inner");
+    const Bundle &second = outer.getBundle("inner");
+    EXPECT_EQ(&first, &second);
+    EXPECT_EQ(first.getInt("x"), 42);
+    // A miss, or a key holding another type, reads as an empty bundle.
+    EXPECT_TRUE(outer.getBundle("missing").empty());
+    EXPECT_TRUE(outer.getBundle("number").empty());
+}
+
+TEST(Bundle, FindReturnsNullOnMiss)
+{
+    Bundle bundle;
+    bundle.putInt("k", 5);
+    EXPECT_EQ(bundle.find("missing"), nullptr);
+    const BundleValue *found = bundle.find("k");
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(std::get<std::int64_t>(*found), 5);
+    // A non-bundle value reads as the empty bundle through asBundle.
+    EXPECT_TRUE(Bundle::asBundle(*found).empty());
+}
+
 TEST(Bundle, ContainsRemoveClear)
 {
     Bundle bundle;

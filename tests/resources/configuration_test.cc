@@ -66,13 +66,18 @@ TEST(Configuration, DensityDiff)
     EXPECT_EQ(a.diff(b), kConfigDensity);
 }
 
-TEST(Configuration, ToStringMentionsKeyFields)
+TEST(Configuration, ToStringIsExact)
 {
-    Configuration config = Configuration::defaultLandscape();
-    const std::string s = config.toString();
-    EXPECT_NE(s.find("land"), std::string::npos);
-    EXPECT_NE(s.find("1920x1080"), std::string::npos);
-    EXPECT_NE(s.find("en-US"), std::string::npos);
+    // Traces and every model-checker fingerprint carry this text.
+    EXPECT_EQ(Configuration::defaultPortrait().toString(),
+              "port 1080x1920 en-US 320dpi");
+    Configuration land = Configuration::defaultLandscape();
+    land.keyboard = KeyboardState::Attached;
+    land.font_scale = 1.3;
+    EXPECT_EQ(land.toString(), "land 1920x1080 en-US 320dpi kbd font1.3");
+    Configuration small_font;
+    small_font.font_scale = 0.85;
+    EXPECT_EQ(small_font.toString(), "port 1080x1920 en-US 320dpi font0.85");
 }
 
 TEST(Configuration, ChangeBitsToString)

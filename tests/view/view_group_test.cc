@@ -7,7 +7,6 @@
 
 #include <vector>
 
-#include "view/text_view.h"
 #include "view/view_group.h"
 
 namespace rchdroid {
@@ -30,16 +29,6 @@ TEST(ViewGroup, RemoveChildAt)
     group.removeChildAt(0);
     ASSERT_EQ(group.childCount(), 1u);
     EXPECT_EQ(group.childAt(0).id(), "b");
-}
-
-TEST(ViewGroup, DetachChildKeepsItAlive)
-{
-    FrameLayout group("root");
-    group.addChild(std::make_unique<TextView>("t"));
-    auto detached = group.detachChildAt(0);
-    ASSERT_NE(detached, nullptr);
-    EXPECT_EQ(detached->parent(), nullptr);
-    EXPECT_EQ(group.childCount(), 0u);
 }
 
 TEST(ViewGroup, VisitIsPreOrder)
@@ -133,6 +122,32 @@ TEST(LinearLayout, HorizontalSlicesWidth)
     layout.layoutSubtree(0, 0, 300, 50);
     EXPECT_EQ(a->frameWidth(), 150);
     EXPECT_EQ(b->frameLeft(), 150);
+}
+
+TEST(LinearLayout, NestedGroupSlicesItsSlot)
+{
+    LinearLayout outer("outer", LinearLayout::Direction::Vertical);
+    outer.addChild(std::make_unique<View>("top"));
+    auto nested = std::make_unique<LinearLayout>(
+        "row", LinearLayout::Direction::Horizontal);
+    auto *left = &nested->addChild(std::make_unique<View>("left"));
+    auto *right = &nested->addChild(std::make_unique<View>("right"));
+    const View &row = outer.addChild(std::move(nested));
+    outer.layoutSubtree(0, 0, 300, 200);
+
+    // The row takes the lower half of the column...
+    EXPECT_EQ(row.frameTop(), 100);
+    EXPECT_EQ(row.frameHeight(), 100);
+    EXPECT_EQ(row.frameWidth(), 300);
+    // ...and splits its own slot between its children, side by side.
+    EXPECT_EQ(left->frameLeft(), 0);
+    EXPECT_EQ(left->frameTop(), 100);
+    EXPECT_EQ(left->frameWidth(), 150);
+    EXPECT_EQ(left->frameHeight(), 100);
+    EXPECT_EQ(right->frameLeft(), 150);
+    EXPECT_EQ(right->frameTop(), 100);
+    EXPECT_EQ(right->frameWidth(), 150);
+    EXPECT_EQ(right->frameHeight(), 100);
 }
 
 TEST(ScrollView, ScrollToInvalidates)

@@ -138,13 +138,19 @@ TEST(View, CountViewsSingle)
 
 TEST(View, StateKeyRules)
 {
+    // The key, or "" when the view is skipped.
+    const auto key = [](const View &view, bool full,
+                         const std::string &path_key) {
+        const std::string *found = view.stateKey(full, path_key);
+        return found ? *found : std::string{};
+    };
     View with_id("the_id");
-    EXPECT_EQ(with_id.stateKey(false, "0/1"), "the_id");
-    EXPECT_EQ(with_id.stateKey(true, "0/1"), "the_id");
+    EXPECT_EQ(key(with_id, false, "@0/1"), "the_id");
+    EXPECT_EQ(key(with_id, true, "@0/1"), "the_id");
     View no_id("");
-    EXPECT_EQ(no_id.stateKey(false, "0/1"), "");
-    EXPECT_EQ(no_id.stateKey(true, "0/1"), "@0/1");
-    EXPECT_EQ(no_id.stateKey(true, ""), "");
+    EXPECT_EQ(key(no_id, false, "@0/1"), "");
+    EXPECT_EQ(key(no_id, true, "@0/1"), "@0/1");
+    EXPECT_EQ(key(no_id, true, "@"), "");
 }
 
 } // namespace
